@@ -6,7 +6,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: all build test vet chaos-soak bench bench-sched bench-conn bench-cluster bench-cluster-gate bench-slo bench-slo-gate bench-pubsub bench-pubsub-gate bench-smoke bench-gate
+.PHONY: all build test vet chaos-soak bench bench-sched bench-conn bench-cluster bench-cluster-gate bench-slo bench-slo-gate bench-pubsub bench-pubsub-gate bench-smoke bench-e2e-smoke bench-gate
 
 all: build test
 
@@ -112,6 +112,16 @@ bench-smoke:
 	$(GO) test -short -run '^$$' -bench . -benchtime 1x ./...
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'BenchmarkHotPath|BenchmarkSched' -benchtime 1x -benchmem . | $(GO) run ./scripts/benchjson -out BENCH_hotpath.json -label smoke-p1 -note "1x smoke pass at GOMAXPROCS=1, not a performance measurement"
 	GOMAXPROCS=4 $(GO) test -run '^$$' -bench 'BenchmarkHotPath|BenchmarkSched' -benchtime 1x -benchmem . | $(GO) run ./scripts/benchjson -out BENCH_hotpath.json -label smoke-p4 -note "1x smoke pass at GOMAXPROCS=4, not a performance measurement"
+
+# The repository's end-to-end benchmark (benchmark/, its own module, so
+# `go test ./...` here neither builds nor runs it): its unit tests, then
+# sub-second phases of every workload, timed and traced. It proves the
+# benchmark binary still builds and runs against the current transport —
+# a change that breaks it is caught here rather than by whoever runs the
+# 24 s measurement next.
+bench-e2e-smoke:
+	cd benchmark && $(GO) test ./...
+	bash benchmark/run.sh -smoke
 
 # Regression gate: re-measure the hot-path suite and fail if any
 # benchmark's ns/op regressed more than the threshold against the

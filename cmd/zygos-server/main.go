@@ -128,7 +128,7 @@ func main() {
 	// Stats().Net.AcceptShards counts listeners *currently* served — zero
 	// by the time shutdown reaches this line — so report the count this
 	// process actually opened.
-	log.Printf("final net: open=%d idle=%d accepted=%d reaped=%d pollers=%d shards=%d egress_resident=%dB",
+	log.Printf("final net: open=%d idle=%d accepted=%d reaped=%d pollsets=%d shards=%d egress_resident=%dB",
 		st.Net.Open, st.Net.Idle, st.Net.Accepted, st.Net.Reaped, st.Net.Pollers,
 		len(listeners), st.Net.EgressBytesResident)
 	// The health view a cluster tier balances and breaks circuits on:

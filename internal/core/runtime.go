@@ -28,6 +28,21 @@
 // swap, and idle workers park on an eventcount — they sleep until work
 // actually arrives instead of polling on a timer.
 //
+// A transport can make each worker its own network poller (the paper's
+// per-core network stack run to completion, §4.2) through the Poller
+// hook: a worker harvests its own socket set at the top of every loop
+// iteration, parks inside the transport's Wait instead of on its
+// channel, and — when idle — harvests the socket set of a worker stuck
+// in application code before proxying its kernel step. The ingress ring
+// stays between harvest and parse: proxiers need its MPSC safety, and it
+// is a few tens of nanoseconds per segment. What the hook must uphold:
+// a worker never blocks on its own ingress ring (TryIngressOwned), one
+// harvester per socket set at a time, a notify reaches a worker
+// whichever way it sleeps (see parker), and DetachPoller returns only
+// once no worker is inside the hook, so the transport can close its
+// descriptors. Transports that feed the rings from goroutines of their
+// own (memnet, tcpnet's portable pollers) use Ingress and never attach.
+//
 // Go cannot deliver preemptive IPIs to a goroutine, so the paper's
 // exit-less IPI is substituted by kernel proxying: when the home worker is
 // stuck in a long application handler, any idle worker may acquire the
@@ -67,6 +82,44 @@ type HandlerFunc func(ctx *Ctx, conn *Conn, msg proto.Message)
 
 // Serve implements Handler.
 func (f HandlerFunc) Serve(ctx *Ctx, conn *Conn, msg proto.Message) { f(ctx, conn, msg) }
+
+// Poller is the hook through which a transport lets each worker poll its
+// own sockets, so the home path is wait → read → parse → handler → write
+// on one goroutine with no hand-off (the paper's per-core network stack,
+// §4.2). The transport keeps one socket set per worker and registers a
+// connection with the set of its Home(). All three methods take a worker
+// index below Cores().
+//
+// Poll and Wait are called only by worker goroutines, bracketed so that
+// DetachPoller can wait for them to return; Wake is called by whoever
+// publishes work and may arrive at any time, including after the detach,
+// so the transport guards it against its own teardown.
+type Poller interface {
+	// Poll harvests the worker's socket set without blocking: readable
+	// bytes go to the runtime through TryIngressOwned, writable sockets
+	// resume their parked egress. A worker polls its own set at the top
+	// of every loop iteration; an idle worker polls the set of a worker
+	// stuck in application code on its behalf. At most one caller reads a
+	// set at a time — a concurrent call returns false at once. It reports
+	// whether anything was harvested.
+	Poll(worker int) bool
+	// Wait blocks the calling worker until its socket set is ready, a
+	// socket set it watches on a neighbour's behalf receives data, Wake
+	// is called for it, or the timeout passes; it reports whether it
+	// timed out. It must not leave a runnable goroutine stranded behind
+	// the blocked thread.
+	Wait(worker int, timeout time.Duration) bool
+	// Wake makes the worker's current or next Wait return. It never
+	// blocks.
+	Wake(worker int)
+}
+
+// pollerRef boxes the interface for atomic.Pointer.
+type pollerRef struct{ Poller }
+
+// ErrIngressFull is returned by TryIngressOwned when the home ingress
+// ring has no free slot; the caller keeps the segment.
+var ErrIngressFull = errors.New("core: ingress ring is full")
 
 // Config parameterizes a Runtime.
 type Config struct {
@@ -173,6 +226,12 @@ type Runtime struct {
 	// spinning>0 published its depth first, so the recheck sees it.
 	spinning atomic.Int32
 
+	// poller is the attached transport hook, nil while workers park on
+	// their channels (before a transport attaches, after it detaches, and
+	// for transports that feed the ingress rings from their own
+	// goroutines).
+	poller atomic.Pointer[pollerRef]
+
 	running atomic.Bool
 	wg      sync.WaitGroup
 }
@@ -219,6 +278,41 @@ func (rt *Runtime) Close() {
 		w.ingress.notFull.notify()
 	}
 	rt.wg.Wait()
+}
+
+// AttachPoller installs the transport hook: from now on every worker
+// polls its socket set at the top of its loop and parks inside p.Wait.
+// Only one poller can be attached at a time; it reports false if another
+// already is. Workers asleep on their channels are woken so that they
+// re-park where socket readiness can reach them.
+func (rt *Runtime) AttachPoller(p Poller) bool {
+	if !rt.poller.CompareAndSwap(nil, &pollerRef{p}) {
+		return false
+	}
+	for _, w := range rt.workers {
+		w.ec.notify()
+	}
+	return true
+}
+
+// DetachPoller removes the hook installed by AttachPoller and returns
+// once no worker is inside p.Poll or p.Wait, so the transport may close
+// the descriptors behind them (a descriptor number reused under a
+// blocked wait would be silent corruption). Workers go back to parking
+// on their channels. A p that is not the attached poller is ignored.
+func (rt *Runtime) DetachPoller(p Poller) {
+	parkers := make([]*parker, len(rt.workers))
+	for i, w := range rt.workers {
+		parkers[i] = &w.ec
+	}
+	detachPoller(&rt.poller, parkers, p)
+}
+
+// Proxying reports whether idle workers act on other workers' behalf
+// (stealing and kernel proxying both enabled). A transport has its idle
+// workers watch their neighbours' socket sets only then.
+func (rt *Runtime) Proxying() bool {
+	return !rt.cfg.DisableStealing && !rt.cfg.DisableProxy
 }
 
 // Cores returns the number of workers.
@@ -357,16 +451,45 @@ func (rt *Runtime) putSegment(b []byte) {
 // kernel step has parsed it. It blocks when the home ingress ring is
 // full and returns an error after Close.
 func (rt *Runtime) IngressOwned(c *Conn, data []byte) error {
+	if err := rt.admitSegment(c, data); err != nil {
+		return err
+	}
+	return rt.workers[c.home].pushIngress(segment{conn: c, data: data})
+}
+
+// admitSegment refuses a segment for a closed runtime or connection,
+// returning it to the pool.
+func (rt *Runtime) admitSegment(c *Conn, data []byte) error {
 	if !rt.running.Load() {
 		rt.putSegment(data)
-		return errors.New("core: runtime is closed")
+		return errRuntimeClosed
 	}
 	if c.closed.Load() {
 		rt.putSegment(data)
 		return fmt.Errorf("core: conn %d is closed", c.id)
 	}
+	return nil
+}
+
+// TryIngressOwned is IngressOwned for a worker harvesting a socket set:
+// it never blocks — a worker that waited on its own ingress ring would
+// wait for itself. When the home ring is full it returns ErrIngressFull
+// and the caller keeps data (and stops reading: the bytes stay in the
+// socket, and TCP's window is the backpressure); on any other error the
+// segment has been returned to the pool. No other worker is woken: the
+// caller is a worker, and its next step is the kernel step that parses
+// what it pushed.
+func (rt *Runtime) TryIngressOwned(c *Conn, data []byte) error {
+	if err := rt.admitSegment(c, data); err != nil {
+		return err
+	}
 	w := rt.workers[c.home]
-	return w.pushIngress(segment{conn: c, data: data})
+	if !w.ingress.tryPush(c, data) {
+		return ErrIngressFull
+	}
+	w.signal()
+	w.selfDrainIfClosed()
+	return nil
 }
 
 // CloseConn marks the connection closed. Events already queued are still

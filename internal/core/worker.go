@@ -61,14 +61,18 @@ const stealBatchMax = 4
 // kernelMu serializes this core's kernel step — it is the single-
 // consumer guarantee for the ingress ring and the single-producer
 // guarantee for the ready ring, and idle workers TryLock it to proxy
-// the step (the IPI analogue). The worker parks on its eventcount when
-// no work is visible anywhere and sleeps until a publisher wakes it.
+// the step (the IPI analogue). The worker parks when no work is visible
+// anywhere and sleeps until a publisher wakes it — inside the transport's
+// Wait when a Poller is attached (socket readiness wakes it directly),
+// on its parker channel otherwise.
 type Worker struct {
 	rt *Runtime
 	id int
 
-	// ingress: multi-producer (transport readers), drained by the kernel
-	// step. Bounded; producers spin-then-park when full.
+	// ingress: multi-producer (transport readers, or whichever worker is
+	// harvesting this worker's socket set), drained by the kernel step.
+	// Bounded; reader goroutines spin-then-park when full, harvesting
+	// workers stop reading instead (TryIngressOwned).
 	ingress ingressRing
 
 	// kernelMu serializes this core's kernel step (remote state-machine
@@ -84,18 +88,18 @@ type Worker struct {
 	// undelivered event, present exactly once while StateReady.
 	ready readyRing
 
-	// ec is what this worker parks on; parkTimer is the watchdog that
-	// bounds how stale a parked worker's view can get if a wake is
-	// somehow not warranted by the depth counters it rechecked. The
-	// watchdog backs off exponentially across consecutive fruitless
-	// fires (parkBackoff, reset whenever real work runs; timerFired
-	// distinguishes watchdog wakes from demand wakes), so an idle server
-	// converges to ~100 timer wakes per second per worker instead of
-	// polling at the ParkInterval.
-	ec          parker
-	parkTimer   *time.Timer
-	parkBackoff time.Duration
-	timerFired  atomic.Bool
+	// ec is what this worker parks on and is woken through. The watchdog
+	// — the timeout of every sleep — bounds how stale a parked worker's
+	// view can get for work no depth counter or watched socket set shows
+	// it (a victim wedged outside application code). It backs off
+	// exponentially across consecutive fruitless fires (parkBackoff,
+	// reset whenever real work runs), so an idle server converges to ~100
+	// timed wakes per second per worker instead of polling at the
+	// ParkInterval. watchdogPass is set by a timed-out sleep and consumed
+	// by the steal scan that follows it.
+	ec           parker
+	parkBackoff  time.Duration
+	watchdogPass bool
 
 	rng        *rand.Rand
 	order      []int
@@ -119,13 +123,7 @@ func newWorker(rt *Runtime, id int) *Worker {
 	}
 	w.ingress.init(rt.cfg.IngressCap)
 	w.ready.init()
-	w.ec.init()
-	// Watchdog wake: not counted as a demand wake in Stats.
-	w.parkTimer = time.AfterFunc(time.Hour, func() {
-		w.timerFired.Store(true)
-		w.ec.notify()
-	})
-	w.parkTimer.Stop()
+	w.ec.init(id, &rt.poller)
 	return w
 }
 
@@ -155,13 +153,28 @@ func (w *Worker) run() {
 	w.kernelMu.Unlock()
 }
 
-// homeWork runs one iteration of the home loop: the kernel step (flush
-// remote completions, parse ingress into the ready ring), then one
-// activation from the local ready ring.
+// pollSockets harvests worker target's socket set (w's own, or that of a
+// worker w is proxying for) into target's ingress ring, when a transport
+// Poller is attached.
+func (w *Worker) pollSockets(target int) bool {
+	p := w.ec.acquirePoller()
+	if p == nil {
+		return false
+	}
+	did := p.Poll(target)
+	w.ec.releasePoller()
+	return did
+}
+
+// homeWork runs one iteration of the home loop: harvest this worker's
+// own sockets, the kernel step (flush remote completions, parse ingress
+// into the ready ring), then one activation from the local ready ring.
 func (w *Worker) homeWork() bool {
-	did := false
+	did := w.pollSockets(w.id)
 	if w.kernelMu.TryLock() {
-		did = w.kernelStep()
+		if w.kernelStep() {
+			did = true
+		}
 		w.kernelMu.Unlock()
 	}
 	// The active bracket must open before the pop: from the instant a
@@ -521,9 +534,9 @@ func (w *Worker) activate(c *Conn) {
 
 // stealWork is the idle loop (§5): scan other workers' depth counters —
 // plain atomic loads, no locks — steal a batch from the first victim
-// with queued connections, else proxy the kernel step of a stuck worker
-// with undrained ingress or unflushed remote completions, in randomized
-// victim order.
+// with queued connections, else proxy a stuck worker: harvest its socket
+// set and run its kernel step over undrained ingress or unflushed remote
+// completions, in randomized victim order.
 //
 // The scan runs under the Runtime.spinning announcement, which throttles
 // publishers' demand wakes while this worker is already looking. The
@@ -532,6 +545,8 @@ func (w *Worker) activate(c *Conn) {
 // proxied kernel step runs, so a thief busy in application code never
 // suppresses wakes for work it is not going to find.
 func (w *Worker) stealWork() bool {
+	watchdog := w.watchdogPass
+	w.watchdogPass = false
 	w.rt.spinning.Add(1)
 	w.order = w.rt.stealOrder(w.rng, w.id, w.order)
 	for _, v := range w.order {
@@ -604,6 +619,14 @@ func (w *Worker) stealWork() bool {
 	if !w.rt.cfg.DisableProxy {
 		for _, v := range w.order {
 			victim := w.rt.workers[v]
+			// A victim stuck in application code cannot poll its sockets:
+			// harvest them for it, so the bytes become ingress segments the
+			// proxied kernel step below can parse. On a watchdog pass every
+			// victim is polled — one wedged outside application code (blocked
+			// on a stalled peer's egress backpressure) has no flag to show it.
+			if victim.inApp.Load() || watchdog {
+				w.pollSockets(v)
+			}
 			if victim.ingress.Len() == 0 && !victim.remote.nonEmpty() {
 				continue
 			}
@@ -674,10 +697,12 @@ const maxParkBackoff = 10 * time.Millisecond
 // the sleep race-free: prepare announces the waiter, the work recheck
 // runs under that announcement, and every publisher makes its work
 // visible in a depth counter before notifying — so either the recheck
-// sees the work or the wait observes the generation change. ParkInterval
-// survives as a watchdog rescan bound, not the wake mechanism, and a
-// watchdog fire that found nothing doubles the next interval (up to
-// maxParkBackoff) so idle workers go quiet instead of polling.
+// sees the work or the wait observes the generation change. With a
+// transport Poller attached the sleep is the transport's Wait, which
+// socket readiness ends as well. ParkInterval survives as a watchdog
+// rescan bound, not the wake mechanism, and a watchdog fire that found
+// nothing doubles the next interval (up to maxParkBackoff) so idle
+// workers go quiet instead of polling.
 func (w *Worker) park() {
 	g := w.ec.prepare()
 	if w.parkWorkVisible() || !w.rt.running.Load() {
@@ -688,11 +713,8 @@ func (w *Worker) park() {
 		w.parkBackoff = w.rt.cfg.ParkInterval
 	}
 	w.rt.parks.Add(1)
-	w.timerFired.Store(false)
-	w.parkTimer.Reset(w.parkBackoff)
-	w.ec.wait(g)
-	w.parkTimer.Stop()
-	if w.timerFired.Swap(false) {
+	w.watchdogPass = w.ec.sleep(g, w.parkBackoff)
+	if w.watchdogPass {
 		// Watchdog wake, not demand: nothing arrived while we slept, so
 		// the next fruitless sleep may be longer. (parkBackoff resets in
 		// the run loop the moment any work executes.)

@@ -226,7 +226,7 @@ func (m KVModel) LegacyGen() func(rng *rand.Rand) (uint16, []byte) {
 func (m KVModel) Preload(rng *rand.Rand) [][]byte {
 	out := make([][]byte, 0, m.Keys)
 	for i := 0; i < m.Keys; i++ {
-		key := m.keyN(rng, i)
+		key := m.keyN(i)
 		val := make([]byte, m.ValueLen(rng))
 		out = append(out, kv.EncodeSetPayload(nil, key, val))
 	}
@@ -234,13 +234,33 @@ func (m KVModel) Preload(rng *rand.Rand) [][]byte {
 }
 
 func (m KVModel) key(rng *rand.Rand) []byte {
-	return m.keyN(rng, rng.Intn(m.Keys))
+	return m.keyN(rng.Intn(m.Keys))
 }
 
-// keyN builds the n-th key, deterministically, padded to the drawn
-// length.
-func (m KVModel) keyN(rng *rand.Rand, n int) []byte {
-	kl := m.KeyLen(rng)
+// indexSource is a rand.Source64 seeded by a key index (a splitmix64
+// stream), so that what KeyLen draws for index n is a function of n
+// alone.
+type indexSource uint64
+
+func (s *indexSource) Uint64() uint64 {
+	*s += 0x9e3779b97f4a7c15
+	z := uint64(*s)
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
+func (s *indexSource) Int63() int64 { return int64(s.Uint64() >> 1) }
+
+func (s *indexSource) Seed(seed int64) { *s = indexSource(seed) }
+
+// keyN builds the n-th key. Every byte of it, its length included, is
+// fixed by n — the length is drawn from KeyLen's distribution with a
+// generator seeded by n, not from the caller's stream — so the key Gen
+// asks for is the key Preload stored.
+func (m KVModel) keyN(n int) []byte {
+	src := indexSource(n)
+	kl := m.KeyLen(rand.New(&src))
 	if kl < 12 {
 		kl = 12
 	}

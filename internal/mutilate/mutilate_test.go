@@ -216,10 +216,53 @@ func TestPreloadCoversKeyspace(t *testing.T) {
 
 func TestKeyDeterministicPerIndex(t *testing.T) {
 	m := USR(10)
-	rng := rand.New(rand.NewSource(4))
-	a := m.keyN(rng, 7)
-	b := m.keyN(rng, 7)
-	if string(a[:12]) != string(b[:12]) {
-		t.Fatal("key identity must be deterministic in the index")
+	if a, b := m.keyN(7), m.keyN(7); string(a) != string(b) {
+		t.Fatalf("key must be deterministic in the index: %q vs %q", a, b)
+	}
+	// The lengths still follow the model's distribution across indexes.
+	lens := map[int]bool{}
+	for i := 0; i < 200; i++ {
+		lens[len(USR(200).keyN(i))] = true
+	}
+	if len(lens) != 3 {
+		t.Fatalf("USR key lengths seen: %v, want 19, 20 and 21", lens)
+	}
+}
+
+// TestGenHitsPreloadedKeys pins the property a kv run needs to time hits
+// rather than misses: the key Gen draws for an index is byte-for-byte
+// the key Preload stored for it.
+func TestGenHitsPreloadedKeys(t *testing.T) {
+	for _, m := range []KVModel{ETC(1000), USR(1000)} {
+		store := kv.NewStore(4, 0)
+		for _, p := range m.Preload(rand.New(rand.NewSource(1))) {
+			key, val, err := kv.DecodeSetPayload(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			store.Set(key, val)
+		}
+		gen := m.Gen()
+		rng := rand.New(rand.NewSource(2))
+		gets, hits := 0, 0
+		for i := 0; i < 10000; i++ {
+			method, payload := gen(rng)
+			switch method {
+			case kv.MethodGet:
+				gets++
+				if _, ok := store.Get(payload); ok {
+					hits++
+				}
+			case kv.MethodSet:
+				key, val, err := kv.DecodeSetPayload(payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				store.Set(key, val)
+			}
+		}
+		if gets == 0 || float64(hits) < 0.99*float64(gets) {
+			t.Fatalf("%s: %d of %d GETs hit", m.Name, hits, gets)
+		}
 	}
 }

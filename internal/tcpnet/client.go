@@ -5,11 +5,19 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"zygos/internal/bufpool"
 	"zygos/internal/proto"
 )
+
+// clientReaders counts the client-side read loops alive in this process
+// (Client and ConnManager sockets). It is process-wide on purpose: what
+// it tells a server transport in the same process is that goroutines
+// here depend on Go's netpoller being served promptly, which decides how
+// the server's workers may block (sockSet.wait).
+var clientReaders atomic.Int32
 
 // Client is a TCP RPC client speaking the proto framing. It supports
 // pipelined concurrent requests over one connection. Applications with
@@ -41,11 +49,13 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 // under the RPC stack. The client owns nc and closes it on Close.
 func NewClientOn(nc net.Conn) *Client {
 	c := &Client{nc: nc, disp: proto.NewDispatcher(), wr: bufio.NewWriterSize(nc, 32<<10)}
+	clientReaders.Add(1)
 	go c.readLoop()
 	return c
 }
 
 func (c *Client) readLoop() {
+	defer clientReaders.Add(-1)
 	buf := make([]byte, readBufSize)
 	for {
 		n, err := c.nc.Read(buf)

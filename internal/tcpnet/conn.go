@@ -80,6 +80,14 @@ func (sc *serverConn) unflushedLocked() int { return len(sc.pending) - sc.woff }
 func (sc *serverConn) WriteReply(frame []byte) error {
 	sc.mu.Lock()
 	for sc.unflushedLocked() >= maxPendingEgress && !sc.closed && sc.err == nil {
+		if sc.fd >= 0 && sc.waitWrite && !sc.writing {
+			// The drain is parked on write readiness, which a worker
+			// harvesting the socket set would resume — but the caller may
+			// be that worker, or every worker may be blocked right here.
+			// Drive the drain from this goroutine instead.
+			sc.drainWaitLocked()
+			continue
+		}
 		sc.cond.Wait()
 	}
 	if sc.closed {
@@ -150,6 +158,35 @@ func (sc *serverConn) drainLocked() {
 	}
 	sc.writing = false
 	sc.resetEgressLocked()
+	sc.cond.Broadcast()
+}
+
+// drainWaitLocked takes over a drain parked on write readiness and
+// writes until the backlog is back under the high-water mark, waiting
+// for the socket in Go's netpoller rather than in the socket set. Caller
+// holds sc.mu with waitWrite set and no writer active; the lock is
+// dropped around each write. The EPOLLOUT arm is left for the next
+// harvest to clear (pollWritable disarms when nothing is parked).
+func (sc *serverConn) drainWaitLocked() {
+	sc.waitWrite = false
+	sc.writing = true
+	for sc.err == nil && !sc.closed && sc.unflushedLocked() >= maxPendingEgress {
+		buf := sc.pending[sc.woff:]
+		sc.mu.Unlock()
+		n, err := sysWriteWait(sc.rc, buf)
+		sc.mu.Lock()
+		if n > 0 {
+			sc.woff += n
+			sc.touch()
+		}
+		if err != nil && sc.err == nil {
+			sc.err = err
+		}
+	}
+	sc.writing = false
+	if sc.err != nil || sc.closed {
+		sc.resetEgressLocked()
+	}
 	sc.cond.Broadcast()
 }
 
@@ -280,11 +317,13 @@ func (sc *serverConn) CloseTransport() {
 	sc.teardown()
 }
 
-// ingest hands one read's bytes to the runtime: big reads transfer the
-// poller's whole buffer zero-copy (the poller leases a fresh one), small
-// reads are copied so the retained scratch stays per-poller. It returns
-// the buffer to keep using (nil after a handoff) and whether the
-// connection survived.
+// ingest hands one read's bytes from a portable poller goroutine to the
+// runtime, blocking while the home ingress ring is full: big reads
+// transfer the poller's whole buffer zero-copy (the poller leases a fresh
+// one), small reads are copied so the retained scratch stays per-poller.
+// It returns the buffer to keep using (nil after a handoff) and whether
+// the connection survived. (Worker-owned socket sets push through
+// sockSet.pushSegment, which must not block.)
 func (sc *serverConn) ingest(buf []byte, n int) ([]byte, bool) {
 	sc.touch()
 	if n >= readHandoffSize {

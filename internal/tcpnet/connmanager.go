@@ -195,6 +195,7 @@ func (ms *managedSock) ensureDialedLocked() error {
 	ms.disp = proto.NewDispatcher()
 	ms.disp.SetDepthFunc(ms.onDepth)
 	ms.err = nil
+	clientReaders.Add(1)
 	go ms.readLoop(nc, ms.disp)
 	return nil
 }
@@ -202,6 +203,7 @@ func (ms *managedSock) ensureDialedLocked() error {
 // readLoop feeds one socket's replies to its dispatcher; it is the only
 // per-socket goroutine, shared by every caller on the socket.
 func (ms *managedSock) readLoop(nc net.Conn, disp *proto.Dispatcher) {
+	defer clientReaders.Add(-1)
 	buf := make([]byte, readBufSize)
 	for {
 		n, err := nc.Read(buf)

@@ -1,38 +1,76 @@
 // Package tcpnet adapts the runtime to real TCP sockets using only the
-// standard library, with a connection-scalable data plane: instead of a
-// reader goroutine and a flusher goroutine per connection, a small fixed
-// pool of poller goroutines multiplexes every connection's readiness.
-// The goroutine budget is O(pollers + accept shards), independent of the
-// connection count — the property the ROADMAP's "millions of users"
-// north star needs and the goroutine-per-connection design could not
-// deliver (2M goroutines, gigabytes of stacks, scheduler thrash).
+// standard library, with a run-to-completion, connection-scalable data
+// plane: on Linux each runtime worker polls its own sockets, so a
+// request's home path is epoll_wait → read → parse → handler → write on
+// one OS thread with no goroutine or thread hand-off, and the transport
+// runs no goroutines beyond one accept loop per listener and the
+// registry sweeper — independent of the connection count.
 //
-// On Linux each poller owns an epoll instance (via the stdlib syscall
-// package; the sockets stay registered with Go's netpoller too, but
-// nobody waits on that side) and performs nonblocking reads and writes
-// directly on the connection fds, always inside SyscallConn callbacks so
-// teardown can never race an in-flight syscall onto a recycled fd.
-// Everywhere else — and on Linux when a listener yields connections
-// without syscall access, or when WithPortablePoller forces it for test
-// coverage — a portable poller scans its connections with short read
-// deadlines; same state machine, worse constants.
+// Worker-owned socket sets (Linux). The transport keeps one epoll socket
+// set per runtime worker and registers a connection with the set of its
+// RSS home, Conn.Home(). It attaches to the runtime as its core.Poller:
+// a worker harvests its own set, non-blocking, at the top of every loop
+// iteration, and when it has nothing to do it sleeps inside its wait set
+// — its socket set, a wake eventfd, and, edge-triggered, the socket sets
+// of the other workers — instead of on a Go channel. Data arriving for a
+// worker that is stuck in application code therefore wakes an idle
+// worker, which harvests that set on the owner's behalf and then proxies
+// and steals as usual: the paper's idle loop polling a remote core's NIC
+// queue (§5), driven by the kernel instead of by a third thread. The
+// sockets stay registered with Go's netpoller too; only the egress
+// backpressure path waits on that side. Reads and writes go directly to
+// the connection fds, always inside SyscallConn callbacks so teardown
+// can never race an in-flight syscall onto a recycled fd.
 //
-// Ingress: pollers lease read segments from the runtime's pool and hand
-// large reads to Runtime.IngressOwned zero-copy (ownership transfers,
-// the poller leases a fresh segment); small reads are copied so the
-// retained scratch is per-poller, not per-connection — an idle
-// connection pins no read-buffer memory at all, by construction.
+// Invariants of that design:
+//
+//   - A blocked worker does not keep other goroutines from running. In a
+//     process that only serves it blocks in a raw epoll_wait — the
+//     cheapest wake there is — and yields first, so nothing runnable is
+//     left on the P the blocked thread holds. In a process that also
+//     holds client connections of this package (whose read loops wait on
+//     Go's netpoller and need a P the moment a reply lands) it parks in
+//     Go's netpoller instead and holds no P at all (sockSet.wait).
+//   - One reader per socket set at a time (owner or proxier, TryLock),
+//     one read per readiness event, level-triggered, so a firehose
+//     connection cannot starve its siblings.
+//   - A worker never blocks on its own ingress ring: a harvest pushes
+//     with core.Runtime.TryIngressOwned and, when the ring is full, stops
+//     reading and leaves the bytes in the socket — epoll re-reports them
+//     and TCP's window is the backpressure.
+//   - Wakes are lost-wakeup-free without the watchdog (core's parker
+//     documents the protocol), and the eventfd is read before the dedupe
+//     token is cleared.
+//   - Server.Close detaches from the runtime, which returns once no
+//     worker is inside Poll or Wait, and only then closes the epoll and
+//     eventfd descriptors.
+//
+// Everywhere else — and on Linux for a listener that yields connections
+// without syscall access, for a second transport sharing a runtime, or
+// when WithPortablePoller forces it for test coverage — portable poller
+// goroutines scan their connections with short read deadlines and feed
+// the ingress rings through the blocking Runtime.Ingress path; same
+// state machine, worse constants.
+//
+// Ingress: a harvest leases read segments from the runtime's pool and
+// hands large reads over zero-copy (ownership transfers, the set leases
+// a fresh segment); small reads are copied so the retained scratch is
+// per-set, not per-connection — an idle connection pins no read-buffer
+// memory at all, by construction.
 //
 // Egress: the runtime coalesces in-order completions into one
 // WriteReply batch; WriteReply stages the batch in the connection's
 // pending buffer and the calling goroutine becomes the writer if none
 // is active, draining with nonblocking writes. A stalled peer parks the
-// connection's egress — write readiness is armed with the poller
-// (EPOLLOUT on Linux) and the poller resumes the drain — instead of
-// pinning a flusher goroutine. Append order is transmit order, so the
-// per-connection reply ordering guarantee survives, and the staging
-// buffer is bounded by a high-water mark that blocks WriteReply (the
-// same backpressure a synchronous socket write used to provide).
+// connection's egress — write readiness is armed in the socket set
+// (EPOLLOUT on Linux) and whichever worker harvests the set resumes the
+// drain — instead of pinning a flusher goroutine. Append order is
+// transmit order, so the per-connection reply ordering guarantee
+// survives, and the staging buffer is bounded by a high-water mark that
+// blocks WriteReply (the same backpressure a synchronous socket write
+// used to provide). A writer blocked there drives the drain itself,
+// parked in Go's netpoller, so it never depends on a worker — possibly
+// itself — being free to service the EPOLLOUT.
 //
 // The server also keeps a connection registry with idle-memory
 // accounting: a sweeper shrinks quiet connections' retained egress
@@ -43,7 +81,6 @@ package tcpnet
 
 import (
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -66,16 +103,13 @@ const readHandoffSize = 8 << 10
 // egress to drain before severing the sockets.
 const closeDrainTimeout = 500 * time.Millisecond
 
-// maxPollers caps the default poller pool; readiness polling wants few
-// busy pollers, not one per core on large machines.
-const maxPollers = 4
-
-// poller multiplexes read and write readiness for a set of server
-// connections. addConn registers a connection; armWrite (called with the
+// poller multiplexes read and write readiness for the connections homed
+// on one runtime worker: a worker-owned socket set, or a portable poller
+// goroutine. addConn registers a connection; armWrite (called with the
 // connection's mutex held) asks for write-readiness notification after a
 // short write; delConn removes a connection during teardown (idempotent,
-// called without the connection's mutex); close stops the poller and
-// waits for its goroutine.
+// called without the connection's mutex); close stops the poller's
+// goroutine, if it has one, and waits for it.
 type poller interface {
 	addConn(sc *serverConn) error
 	armWrite(sc *serverConn)
@@ -86,7 +120,6 @@ type poller interface {
 
 // options collects Server construction knobs.
 type options struct {
-	pollers       int
 	forcePortable bool
 	idleTimeout   time.Duration
 	idleAfter     time.Duration
@@ -97,15 +130,7 @@ type options struct {
 type Option func(*options)
 
 func defaultOptions() options {
-	n := runtime.GOMAXPROCS(0)
-	if n > maxPollers {
-		n = maxPollers
-	}
-	if n < 1 {
-		n = 1
-	}
 	return options{
-		pollers:       n,
 		idleAfter:     5 * time.Second,
 		sweepInterval: time.Second,
 	}
@@ -122,7 +147,10 @@ type NetStats struct {
 	Accepted uint64
 	// Reaped counts connections closed by the idle-timeout reaper.
 	Reaped uint64
-	// Pollers is the number of poller goroutines.
+	// Pollers is the number of poll sets: one per runtime worker —
+	// worker-owned socket sets on Linux (no goroutines), portable poller
+	// goroutines elsewhere — plus the shared portable fallback once a
+	// connection without a raw fd has needed it.
 	Pollers int
 	// AcceptShards is the number of listeners currently being served
 	// (one accept-loop goroutine each).
@@ -138,16 +166,16 @@ type Server struct {
 	rt  *core.Runtime
 	opt options
 
-	mu         sync.Mutex
-	listeners  map[net.Listener]struct{}
-	conns      map[*serverConn]struct{}
-	pollers    []poller
-	fallback   poller // portable poller for fd-less conns on Linux, lazily created
-	nextPoller uint64
-	started    bool
-	closed     bool
-	sweepStop  chan struct{}
-	sweepDone  chan struct{}
+	mu        sync.Mutex
+	listeners map[net.Listener]struct{}
+	conns     map[*serverConn]struct{}
+	pollers   []poller // indexed by runtime worker
+	stopSets  func()   // detaches and closes worker-owned socket sets, if any
+	fallback  poller   // portable poller for fd-less conns on Linux, lazily created
+	started   bool
+	closed    bool
+	sweepStop chan struct{}
+	sweepDone chan struct{}
 
 	accepted atomic.Uint64
 	reaped   atomic.Uint64
@@ -166,16 +194,6 @@ func NewServer(rt *core.Runtime, opts ...Option) *Server {
 		o(&s.opt)
 	}
 	return s
-}
-
-// WithPollers overrides the poller goroutine count (default
-// min(GOMAXPROCS, 4)).
-func WithPollers(n int) Option {
-	return func(o *options) {
-		if n > 0 {
-			o.pollers = n
-		}
-	}
 }
 
 // WithPortablePoller forces the portable deadline-scan poller even where
@@ -212,14 +230,14 @@ func WithSweepInterval(d time.Duration) Option {
 	}
 }
 
-// startLocked brings up the poller pool and the registry sweeper on
-// first use. Caller holds s.mu.
+// startLocked brings up the registry sweeper on first use. The poll sets
+// come up with the first connection that needs them (pollerForLocked).
+// Caller holds s.mu.
 func (s *Server) startLocked() {
 	if s.started {
 		return
 	}
 	s.started = true
-	s.pollers = newPollerSet(s, s.opt.pollers)
 	s.sweepStop = make(chan struct{})
 	s.sweepDone = make(chan struct{})
 	go s.sweep()
@@ -295,10 +313,6 @@ func (s *Server) addConn(nc net.Conn) error {
 		return net.ErrClosed
 	}
 	p := s.pollerForLocked(sc)
-	if p == nil {
-		s.mu.Unlock()
-		return net.ErrClosed
-	}
 	sc.p = p
 	s.conns[sc] = struct{}{}
 	s.accepted.Add(1)
@@ -309,30 +323,34 @@ func (s *Server) addConn(nc net.Conn) error {
 	return nil
 }
 
-// pollerForLocked assigns a connection to a poller: round-robin over the
-// pool when the connection supports the platform poller, the shared
-// portable fallback otherwise. Caller holds s.mu.
+// pollerForLocked assigns a connection to the poll set of its home
+// worker when the connection supports the platform poller, the shared
+// portable fallback otherwise. The per-worker sets are built — and, on
+// Linux, attached to the runtime — by the first connection assigned to
+// them: until the transport has a socket for the workers to watch they
+// keep parking on their channels, inside the Go scheduler, which is
+// kinder to the process's other goroutines than a thread blocked in
+// epoll_wait. Caller holds s.mu.
 func (s *Server) pollerForLocked(sc *serverConn) poller {
-	if len(s.pollers) == 0 {
-		return nil
+	if sc.fd < 0 && !s.pollersArePortable() {
+		if s.fallback == nil {
+			s.fallback = newPortablePoller(s)
+		}
+		return s.fallback
 	}
-	if sc.fd >= 0 || s.pollersArePortable() {
-		i := s.nextPoller
-		s.nextPoller++
-		return s.pollers[i%uint64(len(s.pollers))]
+	if s.pollers == nil {
+		s.pollers = newPollerSet(s, s.rt.Cores())
 	}
-	if s.fallback == nil {
-		s.fallback = newPortablePoller(s)
-	}
-	return s.fallback
+	return s.pollers[sc.cc.Home()]
 }
 
-// pollersArePortable reports whether the main poller pool is the
-// portable implementation (non-Linux builds, forced portable mode, or
-// epoll setup failure).
+// pollersArePortable reports whether the per-worker poll sets are (or
+// will be) the portable implementation: non-Linux builds, forced
+// portable mode, epoll setup failure, or a runtime whose poller hook is
+// already taken.
 func (s *Server) pollersArePortable() bool {
-	if len(s.pollers) == 0 {
-		return true
+	if s.pollers == nil {
+		return s.opt.forcePortable || !platformPoller
 	}
 	_, ok := s.pollers[0].(*portablePoller)
 	return ok
@@ -417,7 +435,9 @@ func (s *Server) NetStats() NetStats {
 
 // Close stops accepting, drains staged egress briefly so already
 // completed replies reach the wire, then tears down all connections,
-// the sweeper, and the pollers.
+// the sweeper, and the poll sets — worker-owned sets are detached from
+// the runtime, which waits for every worker to leave them, before their
+// descriptors close.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -430,6 +450,7 @@ func (s *Server) Close() {
 	}
 	started := s.started
 	pollers := s.pollers
+	stopSets := s.stopSets
 	fallback := s.fallback
 	s.mu.Unlock()
 
@@ -449,6 +470,9 @@ func (s *Server) Close() {
 		}
 		if fallback != nil {
 			fallback.close()
+		}
+		if stopSets != nil {
+			stopSets()
 		}
 	}
 }

@@ -276,10 +276,6 @@ type Config struct {
 	// long, returning their pooled buffers. Zero (the default) disables
 	// reaping.
 	IdleTimeout time.Duration
-	// Pollers overrides the TCP transport's poller goroutine count
-	// (default min(GOMAXPROCS, 4)). The transport's goroutine budget is
-	// O(Pollers + accept shards), independent of connection count.
-	Pollers int
 	// DepthFrames piggybacks the server's live scheduling depth onto
 	// each reply batch as a reserved-method v3 health frame (~20 bytes
 	// per egress flush, read from atomic counters). Clients that
@@ -360,7 +356,10 @@ type NetStats struct {
 	// Reaped counts connections closed by the idle-timeout reaper
 	// (Config.IdleTimeout).
 	Reaped uint64
-	// Pollers is the number of transport poller goroutines.
+	// Pollers is the number of transport poll sets, one per worker:
+	// on Linux each worker polls its own socket set and the transport
+	// runs no poller goroutines; elsewhere (and for connections without
+	// a raw descriptor) they are portable poller goroutines.
 	Pollers int
 	// AcceptShards is the number of listeners currently being served —
 	// with ListenShards, the SO_REUSEPORT accept shard count.
@@ -517,9 +516,6 @@ func NewServer(cfg Config) (*Server, error) {
 	var topts []tcpnet.Option
 	if cfg.IdleTimeout > 0 {
 		topts = append(topts, tcpnet.WithIdleTimeout(cfg.IdleTimeout))
-	}
-	if cfg.Pollers > 0 {
-		topts = append(topts, tcpnet.WithPollers(cfg.Pollers))
 	}
 	s.tcp = tcpnet.NewServer(rt, topts...)
 	return s, nil
