@@ -6,12 +6,25 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: all build test vet chaos-soak bench bench-sched bench-conn bench-cluster bench-cluster-gate bench-slo bench-slo-gate bench-pubsub bench-pubsub-gate bench-smoke bench-e2e-smoke bench-gate
+.PHONY: all build loc test vet chaos-soak bench bench-sched bench-conn bench-cluster bench-cluster-gate bench-slo bench-slo-gate bench-pubsub bench-pubsub-gate bench-smoke bench-e2e-smoke bench-gate
 
 all: build test
 
+# The benchmark is its own module, so the root build does not compile
+# it; building it here makes a break of the public API it programs
+# against fail the build, not only the end-to-end smoke.
 build:
 	$(GO) build ./...
+	cd benchmark && $(GO) vet ./... && $(GO) build -o /dev/null ./...
+
+# Size of the tree: non-test Go lines outside benchmark/, and how many
+# client call-form methods are declared (one set, proto.Calls, is the
+# target; every per-transport copy shows up here).
+LOC_FILES = find . -name '*.go' ! -name '*_test.go' -not -path './benchmark/*' -not -path './.*'
+CALL_FORMS = Call|CallInto|CallMethod|CallMethodInto|CallTimeout|CallMethodTimeout|SendAsync|SendMethodAsync|SendOneWay|SendMethodOneWay|SendBudgetAsync|SendMethodBudgetAsync|Subscribe|Unsubscribe|OnDepth
+loc:
+	@echo "non-test Go lines (outside benchmark/): $$($(LOC_FILES) | xargs cat | wc -l)"
+	@echo "call-form method declarations: $$($(LOC_FILES) | xargs grep -hE '^func \([a-z]+ \*?[A-Za-z]+\) ($(CALL_FORMS))\(' | wc -l)"
 
 # Tier-1 verification: the whole tree must vet and test clean.
 test: vet

@@ -2,9 +2,9 @@ package zygos
 
 import (
 	"errors"
-	"time"
 
 	"zygos/internal/cluster"
+	"zygos/internal/kvwire"
 )
 
 // Cluster tier: a ClusterCaller fronts N zygos servers behind one
@@ -24,9 +24,10 @@ import (
 // Mounted behind ProxyHandler on a front server, the cluster becomes a
 // standalone proxy tier (cmd/zygos-proxy).
 
-// ClusterCaller fans requests over a set of backend callers; it
-// implements Caller, so applications swap a single-server client for a
-// cluster without code changes.
+// ClusterCaller fans requests over a set of backends — any Doer, so
+// every zygos client type and another ClusterCaller; it implements
+// Caller, so applications swap a single-server client for a cluster
+// without code changes.
 type ClusterCaller = cluster.Cluster
 
 // ClusterConfig parameterizes a ClusterCaller.
@@ -73,14 +74,14 @@ var ErrClusterClosed = cluster.ErrClusterClosed
 
 // NewCluster creates an empty cluster; wire members in with Add. Every
 // zygos client type (Client, TCPClient, ManagedClient) is a valid
-// backend; backends whose transport exposes OnDepth feed the balancer
-// their live scheduling depth.
+// backend, and each feeds the balancer its server's live scheduling
+// depth through OnDepth.
 func NewCluster(cfg ClusterConfig) *ClusterCaller { return cluster.New(cfg) }
 
 // KVKeyFunc is the ClusterConfig.KeyFunc for the kv application's
 // routed methods: GET reads, SET and DELETE write.
 func KVKeyFunc(method uint16, payload []byte) (key []byte, write, ok bool) {
-	return cluster.KVKeyFunc(method, payload)
+	return kvwire.KeyFunc(method, payload)
 }
 
 var (
@@ -104,54 +105,34 @@ var (
 // gone is answered StatusDeadlineExceeded without touching a backend.
 func ProxyHandler(cl *ClusterCaller) Handler {
 	return func(w ResponseWriter, req *Request) {
+		call := Call{Method: req.Method, Legacy: req.Method == 0, OneWay: req.OneWay, Payload: req.Payload}
 		if req.OneWay {
-			if req.Method != 0 {
-				_ = cl.SendMethodOneWay(req.Method, req.Payload)
-			} else {
-				_ = cl.SendOneWay(req.Payload)
-			}
+			_ = cl.Do(call)
 			_ = w.Reply(nil)
 			return
 		}
-		var budget time.Duration
 		if rem, ok := req.RemainingBudget(); ok {
 			if rem <= 0 {
 				_ = w.Error(StatusDeadlineExceeded, "proxy: deadline budget exhausted")
 				return
 			}
-			budget = rem
+			call.Budget = rem
 		}
 		co := w.Detach()
-		cb := func(resp []byte, err error) {
-			if err == nil {
+		call.Done = func(resp []byte, err error) {
+			var se *StatusError
+			switch {
+			case err == nil:
 				_ = co.Reply(resp)
-				return
-			}
-			var se *StatusError
-			if errors.As(err, &se) {
+			case errors.As(err, &se):
 				_ = co.Error(se.Code, se.Msg)
-				return
+			default:
+				_ = co.Error(StatusInternal, "proxy: "+err.Error())
 			}
-			_ = co.Error(StatusInternal, "proxy: "+err.Error())
 		}
-		var err error
-		switch {
-		case req.Method != 0 && budget > 0:
-			err = cl.SendMethodBudgetAsync(req.Method, req.Payload, budget, cb)
-		case req.Method != 0:
-			err = cl.SendMethodAsync(req.Method, req.Payload, cb)
-		case budget > 0:
-			err = cl.SendBudgetAsync(req.Payload, budget, cb)
-		default:
-			err = cl.SendAsync(req.Payload, cb)
-		}
-		if err != nil {
-			var se *StatusError
-			if errors.As(err, &se) {
-				_ = co.Error(se.Code, se.Msg)
-				return
-			}
-			_ = co.Error(StatusInternal, "proxy: "+err.Error())
+		if err := cl.Do(call); err != nil {
+			// A refused call never reaches Done; complete it the same way.
+			call.Done(nil, err)
 		}
 	}
 }

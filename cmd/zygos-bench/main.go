@@ -26,6 +26,7 @@ import (
 
 	"zygos"
 	"zygos/internal/experiments"
+	"zygos/internal/proto"
 	"zygos/internal/stats"
 )
 
@@ -236,6 +237,7 @@ func runLiveTargets(requests int, method uint16, targets string) error {
 		return fmt.Errorf("-targets: no addresses")
 	}
 	rr := &rrCaller{cs: callers}
+	rr.Calls = proto.Calls{Doer: rr}
 	defer rr.Close()
 	sample := stats.NewSample(requests)
 	payload := []byte("0123456789abcdef")
@@ -266,28 +268,13 @@ func runLiveTargets(requests int, method uint16, targets string) error {
 // rrCaller rotates calls across a fixed set of callers — static
 // round-robin with no view of backend load.
 type rrCaller struct {
+	proto.Calls
 	cs []zygos.Caller
 	n  atomic.Uint64
 }
 
-func (r *rrCaller) next() zygos.Caller { return r.cs[r.n.Add(1)%uint64(len(r.cs))] }
+func (r *rrCaller) Do(c zygos.Call) error { return r.cs[r.n.Add(1)%uint64(len(r.cs))].Do(c) }
 
-func (r *rrCaller) Call(p []byte) ([]byte, error)          { return r.next().Call(p) }
-func (r *rrCaller) CallInto(p, buf []byte) ([]byte, error) { return r.next().CallInto(p, buf) }
-func (r *rrCaller) CallMethod(m uint16, p []byte) ([]byte, error) {
-	return r.next().CallMethod(m, p)
-}
-func (r *rrCaller) CallMethodInto(m uint16, p, buf []byte) ([]byte, error) {
-	return r.next().CallMethodInto(m, p, buf)
-}
-func (r *rrCaller) SendAsync(p []byte, cb func([]byte, error)) error {
-	return r.next().SendAsync(p, cb)
-}
-func (r *rrCaller) SendMethodAsync(m uint16, p []byte, cb func([]byte, error)) error {
-	return r.next().SendMethodAsync(m, p, cb)
-}
-func (r *rrCaller) SendOneWay(p []byte) error                 { return r.next().SendOneWay(p) }
-func (r *rrCaller) SendMethodOneWay(m uint16, p []byte) error { return r.next().SendMethodOneWay(m, p) }
 func (r *rrCaller) Close() {
 	for _, c := range r.cs {
 		c.Close()

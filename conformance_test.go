@@ -446,6 +446,66 @@ func TestCallerConformance(t *testing.T) {
 				wantTagged(t, resp, confEchoA, "alive")
 			}
 		}},
+		// Last: it closes the Caller.
+		{"every form fails after Close without its callback", func(t *testing.T, c Caller, env *confEnv) {
+			c.Close()
+			var fired atomic.Int32
+			cb := func([]byte, error) { fired.Add(1) }
+			forms := map[string]func() error{
+				"Do": func() error { return c.Do(Call{Method: confEchoA, Payload: []byte("x"), Done: cb}) },
+				"Call": func() error {
+					_, err := c.Call([]byte("x"))
+					return err
+				},
+				"CallInto": func() error {
+					_, err := c.CallInto([]byte("x"), nil)
+					return err
+				},
+				"CallMethod": func() error {
+					_, err := c.CallMethod(confEchoA, []byte("x"))
+					return err
+				},
+				"CallMethodInto": func() error {
+					_, err := c.CallMethodInto(confEchoA, []byte("x"), nil)
+					return err
+				},
+				"CallTimeout": func() error {
+					_, err := c.CallTimeout([]byte("x"), 5*time.Second)
+					return err
+				},
+				"CallMethodTimeout": func() error {
+					_, err := c.CallMethodTimeout(confEchoA, []byte("x"), 5*time.Second)
+					return err
+				},
+				"SendAsync":        func() error { return c.SendAsync([]byte("x"), cb) },
+				"SendMethodAsync":  func() error { return c.SendMethodAsync(confEchoA, []byte("x"), cb) },
+				"SendOneWay":       func() error { return c.SendOneWay([]byte("x")) },
+				"SendMethodOneWay": func() error { return c.SendMethodOneWay(confOne, []byte("x")) },
+				"SendMethodBudgetAsync": func() error {
+					return c.(BudgetCaller).SendMethodBudgetAsync(confEchoA, []byte("x"), time.Second, cb)
+				},
+				"Subscribe": func() error {
+					_, err := c.(Subscriber).Subscribe(confPush, FilterAll(), SubscribeOptions{}, func(uint32, []byte) { fired.Add(1) })
+					return err
+				},
+			}
+			for name, form := range forms {
+				errc := make(chan error, 1)
+				go func() { errc <- form() }()
+				select {
+				case err := <-errc:
+					if err == nil {
+						t.Errorf("%s after Close returned nil", name)
+					}
+				case <-time.After(time.Second):
+					t.Fatalf("%s after Close still blocked after 1s", name)
+				}
+			}
+			time.Sleep(20 * time.Millisecond)
+			if n := fired.Load(); n != 0 {
+				t.Fatalf("%d callbacks fired after Close", n)
+			}
+		}},
 	}
 
 	// A second listener served by a transport forced onto the portable
@@ -520,6 +580,15 @@ func TestCallerConformance(t *testing.T) {
 		{"cluster", func(t *testing.T) (Caller, *confEnv) {
 			front, _, env := newConformanceCluster(t)
 			return front.NewClient(), env
+		}},
+		// Call-level fault injection with an all-zero plan must be
+		// invisible: every form runs through FaultyCaller.Do over TCP.
+		{"faultnet", func(t *testing.T) (Caller, *confEnv) {
+			tc, err := tcpnet.Dial(addr, 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return &TCPClient{newClientBase(faultnet.WrapCaller(tc, faultnet.Plan{}))}, baseEnv
 		}},
 	}
 	for _, tr := range transports {

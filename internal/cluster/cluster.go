@@ -36,41 +36,6 @@ import (
 	"zygos/internal/proto"
 )
 
-// Caller is the transport-side contract a backend connection must
-// satisfy; it mirrors the zygos.Caller method set exactly, so any zygos
-// client (in-process, TCP, or managed) plugs in directly — and a
-// *Cluster itself satisfies it, so tiers stack.
-type Caller interface {
-	Call(payload []byte) ([]byte, error)
-	CallInto(payload, buf []byte) ([]byte, error)
-	CallMethod(method uint16, payload []byte) ([]byte, error)
-	CallMethodInto(method uint16, payload, buf []byte) ([]byte, error)
-	SendAsync(payload []byte, cb func(resp []byte, err error)) error
-	SendMethodAsync(method uint16, payload []byte, cb func(resp []byte, err error)) error
-	SendOneWay(payload []byte) error
-	SendMethodOneWay(method uint16, payload []byte) error
-	Close()
-}
-
-// depthSource is the optional transport capability the balancer feeds
-// on: transports that expose OnDepth deliver the backend's piggybacked
-// health frames.
-type depthSource interface {
-	OnDepth(f func(depth uint32))
-}
-
-// budgetSender is the optional transport capability deadline budgets
-// ride on: transports that can stamp the FlagDeadline wire extension
-// let the cluster forward each request's *remaining* budget to the
-// backend, re-computed at every dispatch so queueing and hedging delays
-// inside the cluster are charged against the caller's deadline rather
-// than silently absorbed. All zygos clients implement it; transports
-// that don't simply get no budget (the op-level deadline timer still
-// protects the caller).
-type budgetSender interface {
-	SendMethodBudgetAsync(method uint16, payload []byte, d time.Duration, cb func(resp []byte, err error)) error
-}
-
 var (
 	// ErrNoBackends reports a cluster with no (eligible) backends.
 	ErrNoBackends = errors.New("cluster: no backends")
@@ -80,6 +45,9 @@ var (
 	ErrClusterClosed = errors.New("cluster: closed")
 	// ErrClosed is the pre-hardening name for ErrClusterClosed.
 	ErrClosed = ErrClusterClosed
+	// ErrNoSubscriptions reports a subscription call on a cluster: push
+	// topics live on a backend, so subscribe there (or relay the topic).
+	ErrNoSubscriptions = errors.New("cluster: subscriptions are per backend")
 )
 
 // Policy selects how the balancer spreads unkeyed requests.
@@ -191,7 +159,7 @@ const (
 // live load signals the balancer scores it by.
 type Backend struct {
 	name string
-	c    Caller
+	c    proto.Doer
 
 	// inflight is the client-side count of requests outstanding on
 	// this backend — knowledge the balancer always has, even before
@@ -358,10 +326,12 @@ func (bl *Balancer) least(bs []*Backend, exclude []*Backend, skip func(*Backend)
 	return best
 }
 
-// Cluster fans requests out over its backends. It satisfies Caller (and
-// structurally zygos.Caller), so applications swap a single-server
-// client for a cluster without code changes.
+// Cluster fans requests out over its backends. It is itself a Doer with
+// the full proto.Calls surface (structurally a zygos.Caller), so
+// applications swap a single-server client for a cluster without code
+// changes, and tiers stack.
 type Cluster struct {
+	proto.Calls
 	cfg Config
 	bal *Balancer
 
@@ -420,6 +390,7 @@ func New(cfg Config) *Cluster {
 		bal: NewBalancer(cfg.Policy, cfg.DepthTTL),
 		ops: make(map[*op]struct{}),
 	}
+	c.Calls = proto.Calls{Doer: c}
 	c.view.Store(&membership{})
 	return c
 }
@@ -433,13 +404,14 @@ type membership struct {
 	ring *hashRing
 }
 
-// Add registers a backend under name. If the transport exposes OnDepth
-// (all zygos clients do), the balancer is subscribed to its piggybacked
-// depth reports. Safe to call while the cluster is serving; in-flight
-// picks use the previous membership snapshot.
-func (c *Cluster) Add(name string, caller Caller) *Backend {
-	b := &Backend{name: name, c: caller}
-	if ds, ok := caller.(depthSource); ok {
+// Add registers a backend under name. If the transport is a
+// proto.DepthReporter (all zygos clients are), the balancer is
+// subscribed to its piggybacked depth reports. Safe to call while the
+// cluster is serving; in-flight picks use the previous membership
+// snapshot.
+func (c *Cluster) Add(name string, d proto.Doer) *Backend {
+	b := &Backend{name: name, c: d}
+	if ds, ok := d.(proto.DepthReporter); ok {
 		ds.OnDepth(b.NoteDepth)
 	}
 	c.mu.Lock()
@@ -598,7 +570,9 @@ func (c *Cluster) Close() {
 		o.cb(nil, ErrClusterClosed)
 	}
 	for _, b := range c.Backends() {
-		b.c.Close()
+		if cl, ok := b.c.(interface{ Close() }); ok {
+			cl.Close()
+		}
 	}
 }
 
@@ -736,27 +710,22 @@ type op struct {
 func (o *op) dispatch(b *Backend, isHedge bool) error {
 	b.inflight.Add(1)
 	start := time.Now()
-	cb := func(resp []byte, err error) { o.finish(b, isHedge, start, resp, err) }
-	var err error
-	switch {
-	case o.legacy:
-		err = b.c.SendAsync(o.payload, cb)
-	case !o.deadline.IsZero():
-		if bs, ok := b.c.(budgetSender); ok {
-			rem := time.Until(o.deadline)
-			if rem <= 0 {
-				// Already out of budget: stamp the floor instead of omitting
-				// the extension (no budget means *unlimited* on the wire), so
-				// the backend sheds it as expired-on-arrival for free.
-				rem = time.Microsecond
-			}
-			err = bs.SendMethodBudgetAsync(o.method, o.payload, rem, cb)
-		} else {
-			err = b.c.SendMethodAsync(o.method, o.payload, cb)
-		}
-	default:
-		err = b.c.SendMethodAsync(o.method, o.payload, cb)
+	call := proto.Call{
+		Method:  o.method,
+		Legacy:  o.legacy,
+		Payload: o.payload,
+		Done:    func(resp []byte, err error) { o.finish(b, isHedge, start, resp, err) },
 	}
+	if !o.deadline.IsZero() {
+		call.Budget = time.Until(o.deadline)
+		if call.Budget <= 0 {
+			// Already out of budget: stamp the floor instead of omitting
+			// the extension (no budget means *unlimited* on the wire), so
+			// the backend sheds it as expired-on-arrival for free.
+			call.Budget = time.Microsecond
+		}
+	}
+	err := b.c.Do(call)
 	if err != nil {
 		b.inflight.Add(-1)
 		// A synchronous refusal means the transport already knows the
@@ -932,21 +901,35 @@ func (c *Cluster) effTimeout(d time.Duration) time.Duration {
 	return c.cfg.CallTimeout
 }
 
-// sendAsync is the shared async entry: route, replicate writes, arm
-// the hedge and deadline timers, dispatch the primary, and fail over
-// synchronous refusals. d is the per-call deadline override (see
-// effTimeout).
-func (c *Cluster) sendAsync(method uint16, legacy bool, payload []byte, d time.Duration, cb func(resp []byte, err error)) error {
+// Do is the cluster's one entry point: it admits the call, then sends
+// it as a one-way or as a logical request (see sendAsync). Call.Budget
+// is the per-call deadline override (see effTimeout). Subscription calls
+// are refused with ErrNoSubscriptions.
+func (c *Cluster) Do(call proto.Call) error {
 	if c.closed.Load() {
 		return ErrClusterClosed
 	}
-	if len(payload) > proto.MaxPayloadV2 {
+	if call.Kind != 0 {
+		return ErrNoSubscriptions
+	}
+	if len(call.Payload) > proto.MaxPayloadV2 {
 		return proto.ErrPayloadTooLarge
 	}
 	if err := c.admit(); err != nil {
 		return err
 	}
 	c.nCalls.Add(1)
+	if call.OneWay {
+		return c.sendOneWay(call)
+	}
+	return c.sendAsync(call)
+}
+
+// sendAsync routes a request, replicates writes, arms the hedge and
+// deadline timers, dispatches the primary, and fails over synchronous
+// refusals.
+func (c *Cluster) sendAsync(call proto.Call) error {
+	method, legacy, payload := call.Method, call.Legacy, call.Payload
 	owners, write := c.route(method, legacy, payload)
 	if write && len(owners) > 1 {
 		// Replicate to the secondaries now — transports encode
@@ -967,7 +950,7 @@ func (c *Cluster) sendAsync(method uint16, legacy bool, payload []byte, d time.D
 					c.noteBackendSuccess(rb)
 				}
 			}
-			if err := sb.c.SendMethodAsync(method, payload, cb); err != nil {
+			if err := sb.c.Do(proto.Call{Method: method, Payload: payload, Done: cb}); err != nil {
 				rb.inflight.Add(-1)
 				c.nReplicaErrs.Add(1)
 				c.noteBackendFailure(rb, true)
@@ -980,7 +963,7 @@ func (c *Cluster) sendAsync(method uint16, legacy bool, payload []byte, d time.D
 		method:   method,
 		legacy:   legacy,
 		payload:  append([]byte(nil), payload...),
-		cb:       cb,
+		cb:       call.Done,
 		owners:   owners,
 		fallback: len(owners) > 0 && !write,
 	}
@@ -1002,7 +985,7 @@ func (c *Cluster) sendAsync(method uint16, legacy bool, payload []byte, d time.D
 		delay := c.trackerFor(method, legacy).delay(c.cfg.Hedge)
 		o.timer = time.AfterFunc(delay, o.fireHedge)
 	}
-	if t := c.effTimeout(d); t > 0 {
+	if t := c.effTimeout(call.Budget); t > 0 {
 		o.deadline = time.Now().Add(t)
 		o.dtimer = time.AfterFunc(t, o.fireDeadline)
 	}
@@ -1091,22 +1074,12 @@ func (c *Cluster) admit() error {
 
 // sendOneWay routes a fire-and-forget request: keyed writes fan out to
 // every owner, everything else goes to one picked backend.
-func (c *Cluster) sendOneWay(method uint16, legacy bool, payload []byte) error {
-	if c.closed.Load() {
-		return ErrClusterClosed
-	}
-	if len(payload) > proto.MaxPayloadV2 {
-		return proto.ErrPayloadTooLarge
-	}
-	if err := c.admit(); err != nil {
-		return err
-	}
-	c.nCalls.Add(1)
-	owners, write := c.route(method, legacy, payload)
+func (c *Cluster) sendOneWay(call proto.Call) error {
+	owners, write := c.route(call.Method, call.Legacy, call.Payload)
 	if write && len(owners) > 1 {
 		var err error
 		for i, b := range owners {
-			if e := b.c.SendMethodOneWay(method, payload); e != nil {
+			if e := b.c.Do(call); e != nil {
 				c.noteBackendFailure(b, true)
 				if i > 0 {
 					c.nReplicaErrs.Add(1)
@@ -1127,12 +1100,7 @@ func (c *Cluster) sendOneWay(method uint16, legacy bool, payload []byte) error {
 			}
 			break
 		}
-		var err error
-		if legacy {
-			err = b.c.SendOneWay(payload)
-		} else {
-			err = b.c.SendMethodOneWay(method, payload)
-		}
+		err := b.c.Do(call)
 		if err == nil {
 			return nil
 		}
@@ -1148,98 +1116,7 @@ func (c *Cluster) sendOneWay(method uint16, legacy bool, payload []byte) error {
 	return ErrNoBackends
 }
 
-// SendAsync issues a legacy (method-less) request; cb runs exactly once
-// with the winning reply or the terminal error.
-func (c *Cluster) SendAsync(payload []byte, cb func(resp []byte, err error)) error {
-	return c.sendAsync(0, true, payload, 0, cb)
-}
-
-// SendMethodAsync is SendAsync with a wire method ID (v3 frame).
-func (c *Cluster) SendMethodAsync(method uint16, payload []byte, cb func(resp []byte, err error)) error {
-	return c.sendAsync(method, false, payload, 0, cb)
-}
-
-// SendMethodBudgetAsync is SendMethodAsync with a deadline budget: the
-// budget is both the op-level deadline (the request settles with
-// proto.ErrCallTimeout when it runs out) and the wire budget stamped —
-// as the time *remaining* — on every dispatch, primary or rescue. d == 0
-// inherits Config.CallTimeout; d < 0 disables the deadline (and stamps
-// nothing).
-func (c *Cluster) SendMethodBudgetAsync(method uint16, payload []byte, d time.Duration, cb func(resp []byte, err error)) error {
-	return c.sendAsync(method, false, payload, d, cb)
-}
-
-// SendBudgetAsync is the legacy (method-less) SendAsync bounded by a
-// deadline budget. v2 sends through the generic Caller interface cannot
-// re-stamp the wire extension, but the op-level deadline still bounds
-// how long the caller can be held.
-func (c *Cluster) SendBudgetAsync(payload []byte, d time.Duration, cb func(resp []byte, err error)) error {
-	return c.sendAsync(0, true, payload, d, cb)
-}
-
-// SendOneWay issues a fire-and-forget request to one backend.
-func (c *Cluster) SendOneWay(payload []byte) error {
-	return c.sendOneWay(0, true, payload)
-}
-
-// SendMethodOneWay is SendOneWay with a wire method ID; keyed writes
-// fan out to every replica.
-func (c *Cluster) SendMethodOneWay(method uint16, payload []byte) error {
-	return c.sendOneWay(method, false, payload)
-}
-
-// Call issues a legacy request and blocks for the winning reply.
-func (c *Cluster) Call(payload []byte) ([]byte, error) {
-	return c.CallInto(payload, nil)
-}
-
-// CallInto is Call with a caller-owned reply buffer.
-func (c *Cluster) CallInto(payload, buf []byte) ([]byte, error) {
-	w := proto.GetWaiter(buf)
-	if err := c.SendAsync(payload, w.Callback()); err != nil {
-		w.Abandon()
-		return nil, err
-	}
-	return w.Wait()
-}
-
-// CallMethod issues a method-routed request and blocks for the winning
-// reply.
-func (c *Cluster) CallMethod(method uint16, payload []byte) ([]byte, error) {
-	return c.CallMethodInto(method, payload, nil)
-}
-
-// CallMethodInto is CallMethod with a caller-owned reply buffer.
-func (c *Cluster) CallMethodInto(method uint16, payload, buf []byte) ([]byte, error) {
-	w := proto.GetWaiter(buf)
-	if err := c.SendMethodAsync(method, payload, w.Callback()); err != nil {
-		w.Abandon()
-		return nil, err
-	}
-	return w.Wait()
-}
-
-// CallTimeout is Call with a per-call deadline: the op settles with
-// proto.ErrCallTimeout after d even if every attempt is wedged. d == 0
-// inherits Config.CallTimeout; d < 0 disables the deadline entirely.
-func (c *Cluster) CallTimeout(payload []byte, d time.Duration) ([]byte, error) {
-	w := proto.GetWaiter(nil)
-	if err := c.sendAsync(0, true, payload, d, w.Callback()); err != nil {
-		w.Abandon()
-		return nil, err
-	}
-	// The op-level deadline drives the callback, so a plain Wait cannot
-	// hang; no waiter-level timer needed.
-	return w.Wait()
-}
-
-// CallMethodTimeout is CallMethod with a per-call deadline (see
-// CallTimeout).
-func (c *Cluster) CallMethodTimeout(method uint16, payload []byte, d time.Duration) ([]byte, error) {
-	w := proto.GetWaiter(nil)
-	if err := c.sendAsync(method, false, payload, d, w.Callback()); err != nil {
-		w.Abandon()
-		return nil, err
-	}
-	return w.Wait()
-}
+// EnforcesBudget implements proto.BudgetEnforcer: the op-level deadline
+// timer settles a budgeted call (and counts it in DeadlinesExpired), so
+// blocking calls through the cluster wait on the op alone.
+func (c *Cluster) EnforcesBudget() {}

@@ -7,6 +7,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"zygos/internal/kvwire"
+	"zygos/internal/proto"
 )
 
 // fakeCaller is a scriptable transport: sends are refused synchronously
@@ -53,19 +56,11 @@ func (f *fakeCaller) fail(err error) {
 	}
 }
 
-func (f *fakeCaller) SendAsync(p []byte, cb func([]byte, error)) error { return f.send(cb) }
-func (f *fakeCaller) SendMethodAsync(m uint16, p []byte, cb func([]byte, error)) error {
-	return f.send(cb)
-}
-func (f *fakeCaller) SendOneWay(p []byte) error                 { return f.err }
-func (f *fakeCaller) SendMethodOneWay(m uint16, p []byte) error { return f.err }
-func (f *fakeCaller) Call(p []byte) ([]byte, error)             { return nil, errors.New("unused") }
-func (f *fakeCaller) CallInto(p, b []byte) ([]byte, error)      { return nil, errors.New("unused") }
-func (f *fakeCaller) CallMethod(m uint16, p []byte) ([]byte, error) {
-	return nil, errors.New("unused")
-}
-func (f *fakeCaller) CallMethodInto(m uint16, p, b []byte) ([]byte, error) {
-	return nil, errors.New("unused")
+func (f *fakeCaller) Do(c proto.Call) error {
+	if c.OneWay {
+		return f.err
+	}
+	return f.send(c.Done)
 }
 func (f *fakeCaller) Close() {}
 
@@ -336,9 +331,16 @@ func TestTrackerAdaptiveDeadline(t *testing.T) {
 	}
 }
 
-// KVKeyFunc must mirror the kv application's wire layout: bare keys for
-// GET/DELETE, [klen:2][key][value] for SET, and reject short payloads.
+// The kv routing contract must plug into the cluster as a KeyFunc and
+// mirror the kv application's wire layout: bare keys for GET/DELETE,
+// [klen:2][key][value] for SET, and reject short payloads.
 func TestKVKeyFunc(t *testing.T) {
+	var KVKeyFunc KeyFunc = kvwire.KeyFunc
+	const (
+		kvMethodGet    = kvwire.MethodGet
+		kvMethodSet    = kvwire.MethodSet
+		kvMethodDelete = kvwire.MethodDelete
+	)
 	if k, w, ok := KVKeyFunc(kvMethodGet, []byte("mykey")); !ok || w || string(k) != "mykey" {
 		t.Fatalf("GET: key=%q write=%v ok=%v", k, w, ok)
 	}

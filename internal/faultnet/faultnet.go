@@ -4,12 +4,12 @@
 //
 // Two wrapping layers compose with the rest of the tree:
 //
-//   - WrapCaller wraps any transport implementing the 9-method Caller
-//     surface (memnet client, tcpnet client, managed caller, cluster) and
-//     injects call-level faults: dist-driven added latency, blackholed
-//     peers (the callback never fires — what a wedged server looks like),
-//     mid-call connection resets (server executes, reply lost), dropped
-//     replies, and depth-frame loss.
+//   - WrapCaller wraps any transport's Do primitive (memnet client,
+//     tcpnet client, managed caller, cluster) and injects call-level
+//     faults: dist-driven added latency, blackholed peers (the callback
+//     never fires — what a wedged server looks like), mid-call connection
+//     resets (server executes, reply lost), dropped replies, and
+//     depth-frame loss.
 //   - WrapConn / WrapListener wrap a net.Conn / net.Listener and inject
 //     byte-level faults on the write path: added latency, partial writes,
 //     corrupt frames, and mid-write resets. Wrapped conns intentionally do
@@ -31,22 +31,8 @@ import (
 	"time"
 
 	"zygos/internal/dist"
+	"zygos/internal/proto"
 )
-
-// Caller is the transport surface faultnet wraps — the same structural
-// interface internal/cluster accepts for a backend, so a wrapped caller
-// drops into a Cluster (or anywhere else) unchanged.
-type Caller interface {
-	Call(payload []byte) ([]byte, error)
-	CallInto(payload, buf []byte) ([]byte, error)
-	CallMethod(method uint16, payload []byte) ([]byte, error)
-	CallMethodInto(method uint16, payload, buf []byte) ([]byte, error)
-	SendAsync(payload []byte, cb func(resp []byte, err error)) error
-	SendMethodAsync(method uint16, payload []byte, cb func(resp []byte, err error)) error
-	SendOneWay(payload []byte) error
-	SendMethodOneWay(method uint16, payload []byte) error
-	Close()
-}
 
 // ErrInjectedReset is the error a faulted call or write observes when the
 // plan resets the connection mid-call: from the caller's view the request
@@ -231,27 +217,42 @@ func (in *injector) stats() Stats {
 	}
 }
 
-// FaultyCaller wraps an inner transport Caller with call-level fault
-// injection. It implements Caller itself plus the OnDepth/Depth pass-
-// throughs the cluster tier probes for, so it is a drop-in backend.
+// FaultyCaller wraps an inner transport with call-level fault
+// injection. It implements Do, and every calling form through the
+// embedded proto.Calls — blocking forms included, so a deadline-bounded
+// call against a blackholed peer returns ErrCallTimeout — plus the
+// OnDepth pass-through the cluster tier probes for, so it is a drop-in
+// backend.
 type FaultyCaller struct {
-	inner Caller
+	proto.Calls
+	inner proto.Doer
 	in    *injector
 }
 
 // WrapCaller wraps inner with the faults described by plan.
-func WrapCaller(inner Caller, plan Plan) *FaultyCaller {
-	return &FaultyCaller{inner: inner, in: newInjector(plan)}
+func WrapCaller(inner proto.Doer, plan Plan) *FaultyCaller {
+	f := &FaultyCaller{inner: inner, in: newInjector(plan)}
+	f.Calls = proto.Calls{Doer: f}
+	return f
 }
 
 // FaultStats returns the injected-fault counters so far.
 func (f *FaultyCaller) FaultStats() Stats { return f.in.stats() }
 
-// sendFaulted applies the caller-level fault model to one async send.
-// fwd forwards the request to the inner transport with the given
-// callback; it returns the transport's synchronous error, if any.
-func (f *FaultyCaller) sendFaulted(cb func(resp []byte, err error), fwd func(cb func(resp []byte, err error)) error) error {
+// Do applies the caller-level fault model to one call and forwards it
+// to the inner transport.
+func (f *FaultyCaller) Do(c proto.Call) error {
 	a, lat := f.in.decide()
+	if c.OneWay {
+		switch a {
+		case Blackhole, DropReply:
+			return nil
+		case Reset:
+			return ErrInjectedReset
+		}
+		return f.inner.Do(c)
+	}
+	done := c.Done
 	switch a {
 	case Blackhole:
 		// Wedged peer: the request vanishes and the callback never
@@ -261,140 +262,42 @@ func (f *FaultyCaller) sendFaulted(cb func(resp []byte, err error), fwd func(cb 
 		// The request is forwarded (the peer executes it) but the
 		// connection "dies" before the reply: the real reply is
 		// discarded and the caller observes a reset shortly after.
-		err := fwd(func([]byte, error) {})
-		if err != nil {
+		c.Done = func([]byte, error) {}
+		if err := f.inner.Do(c); err != nil {
 			return err
 		}
-		time.AfterFunc(DefaultDelay, func() { cb(nil, ErrInjectedReset) })
+		time.AfterFunc(DefaultDelay, func() { done(nil, ErrInjectedReset) })
 		return nil
 	case DropReply:
 		// Forwarded, executed, reply lost without any signal.
-		return fwd(func([]byte, error) {})
+		c.Done = func([]byte, error) {}
 	case Delay:
 		// The reply is held back by lat. resp is a view into the
 		// transport's parse buffer, which is recycled once the real
 		// callback returns — so it must be copied before deferring.
-		return fwd(func(resp []byte, err error) {
+		c.Done = func(resp []byte, err error) {
 			var cp []byte
 			if resp != nil {
 				cp = append(cp, resp...)
 			}
-			time.AfterFunc(lat, func() { cb(cp, err) })
-		})
-	default:
-		return fwd(cb)
-	}
-}
-
-// callFaulted runs one blocking call through the async fault model.
-func (f *FaultyCaller) callFaulted(buf []byte, fwd func(cb func(resp []byte, err error)) error) ([]byte, error) {
-	type res struct {
-		resp []byte
-		err  error
-	}
-	ch := make(chan res, 1)
-	err := f.sendFaulted(func(resp []byte, err error) {
-		if resp != nil {
-			resp = append(buf, resp...)
+			time.AfterFunc(lat, func() { done(cp, err) })
 		}
-		ch <- res{resp, err}
-	}, fwd)
-	if err != nil {
-		return nil, err
 	}
-	r := <-ch // a Blackhole/DropReply on a blocking call hangs, as it would in production
-	return r.resp, r.err
+	return f.inner.Do(c)
 }
 
-func (f *FaultyCaller) Call(payload []byte) ([]byte, error) {
-	return f.callFaulted(nil, func(cb func([]byte, error)) error {
-		return f.inner.SendAsync(payload, cb)
-	})
-}
-
-func (f *FaultyCaller) CallInto(payload, buf []byte) ([]byte, error) {
-	return f.callFaulted(buf, func(cb func([]byte, error)) error {
-		return f.inner.SendAsync(payload, cb)
-	})
-}
-
-func (f *FaultyCaller) CallMethod(method uint16, payload []byte) ([]byte, error) {
-	return f.callFaulted(nil, func(cb func([]byte, error)) error {
-		return f.inner.SendMethodAsync(method, payload, cb)
-	})
-}
-
-func (f *FaultyCaller) CallMethodInto(method uint16, payload, buf []byte) ([]byte, error) {
-	return f.callFaulted(buf, func(cb func([]byte, error)) error {
-		return f.inner.SendMethodAsync(method, payload, cb)
-	})
-}
-
-func (f *FaultyCaller) SendAsync(payload []byte, cb func(resp []byte, err error)) error {
-	return f.sendFaulted(cb, func(fcb func([]byte, error)) error {
-		return f.inner.SendAsync(payload, fcb)
-	})
-}
-
-func (f *FaultyCaller) SendMethodAsync(method uint16, payload []byte, cb func(resp []byte, err error)) error {
-	return f.sendFaulted(cb, func(fcb func([]byte, error)) error {
-		return f.inner.SendMethodAsync(method, payload, fcb)
-	})
-}
-
-// budgetSender mirrors the optional deadline-budget surface of the
-// inner transports, so a wrapped caller still carries wire budgets
-// (the cluster tier type-asserts for it at every dispatch).
-type budgetSender interface {
-	SendMethodBudgetAsync(method uint16, payload []byte, d time.Duration, cb func(resp []byte, err error)) error
-}
-
-// SendMethodBudgetAsync forwards a budget-stamped send through the
-// fault plan; if the inner transport has no budget surface the budget
-// is dropped and the send degrades to SendMethodAsync.
-func (f *FaultyCaller) SendMethodBudgetAsync(method uint16, payload []byte, d time.Duration, cb func(resp []byte, err error)) error {
-	bs, ok := f.inner.(budgetSender)
-	if !ok {
-		return f.SendMethodAsync(method, payload, cb)
+// Close closes the inner transport, if it can be closed.
+func (f *FaultyCaller) Close() {
+	if c, ok := f.inner.(interface{ Close() }); ok {
+		c.Close()
 	}
-	return f.sendFaulted(cb, func(fcb func([]byte, error)) error {
-		return bs.SendMethodBudgetAsync(method, payload, d, fcb)
-	})
-}
-
-func (f *FaultyCaller) oneWayFaulted(fwd func() error) error {
-	a, _ := f.in.decide()
-	switch a {
-	case Blackhole, DropReply:
-		return nil
-	case Reset:
-		return ErrInjectedReset
-	}
-	return fwd()
-}
-
-func (f *FaultyCaller) SendOneWay(payload []byte) error {
-	return f.oneWayFaulted(func() error { return f.inner.SendOneWay(payload) })
-}
-
-func (f *FaultyCaller) SendMethodOneWay(method uint16, payload []byte) error {
-	return f.oneWayFaulted(func() error { return f.inner.SendMethodOneWay(method, payload) })
-}
-
-func (f *FaultyCaller) Close() { f.inner.Close() }
-
-// depthSink mirrors the optional depth-report surface of the inner
-// transports (memnet client, managed caller): the cluster tier type-
-// asserts for it when wiring balancer load signal.
-type depthSink interface {
-	OnDepth(fn func(depth uint32))
 }
 
 // OnDepth forwards depth reports from the inner transport, dropping a
 // PDropDepth fraction so tests can starve the balancer of load signal.
-// It is a no-op if the inner transport has no depth surface.
+// It is a no-op if the inner transport reports no depth.
 func (f *FaultyCaller) OnDepth(fn func(depth uint32)) {
-	ds, ok := f.inner.(depthSink)
+	ds, ok := f.inner.(proto.DepthReporter)
 	if !ok {
 		return
 	}

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"zygos/internal/proto"
 )
 
 // stubCaller is a minimal in-process transport: every request gets an
@@ -22,29 +24,15 @@ func (s *stubCaller) reply(cb func([]byte, error)) error {
 	return nil
 }
 
-func (s *stubCaller) call() ([]byte, error) {
-	s.mu.Lock()
-	s.sends++
-	s.mu.Unlock()
-	return []byte("ok"), nil
+func (s *stubCaller) Do(c proto.Call) error {
+	if c.OneWay {
+		s.mu.Lock()
+		s.sends++
+		s.mu.Unlock()
+		return nil
+	}
+	return s.reply(c.Done)
 }
-
-func (s *stubCaller) Call(p []byte) ([]byte, error)                        { return s.call() }
-func (s *stubCaller) CallInto(p, b []byte) ([]byte, error)                 { return s.call() }
-func (s *stubCaller) CallMethod(m uint16, p []byte) ([]byte, error)        { return s.call() }
-func (s *stubCaller) CallMethodInto(m uint16, p, b []byte) ([]byte, error) { return s.call() }
-func (s *stubCaller) SendAsync(p []byte, cb func([]byte, error)) error     { return s.reply(cb) }
-func (s *stubCaller) SendMethodAsync(m uint16, p []byte, cb func([]byte, error)) error {
-	return s.reply(cb)
-}
-func (s *stubCaller) SendOneWay(p []byte) error { s.mu.Lock(); s.sends++; s.mu.Unlock(); return nil }
-func (s *stubCaller) SendMethodOneWay(m uint16, p []byte) error {
-	s.mu.Lock()
-	s.sends++
-	s.mu.Unlock()
-	return nil
-}
-func (s *stubCaller) Close() {}
 
 func (s *stubCaller) count() int { s.mu.Lock(); defer s.mu.Unlock(); return s.sends }
 
@@ -161,19 +149,32 @@ func TestDelayedReplyIsCopied(t *testing.T) {
 	}
 }
 
-// funcCaller adapts one send function to the full Caller surface.
+// funcCaller adapts one send function to the Do primitive.
 type funcCaller struct {
 	send func(p []byte, cb func([]byte, error)) error
 }
 
-func (f *funcCaller) Call(p []byte) ([]byte, error)                        { panic("unused") }
-func (f *funcCaller) CallInto(p, b []byte) ([]byte, error)                 { panic("unused") }
-func (f *funcCaller) CallMethod(m uint16, p []byte) ([]byte, error)        { panic("unused") }
-func (f *funcCaller) CallMethodInto(m uint16, p, b []byte) ([]byte, error) { panic("unused") }
-func (f *funcCaller) SendAsync(p []byte, cb func([]byte, error)) error     { return f.send(p, cb) }
-func (f *funcCaller) SendMethodAsync(m uint16, p []byte, cb func([]byte, error)) error {
-	return f.send(p, cb)
+func (f *funcCaller) Do(c proto.Call) error {
+	if c.OneWay {
+		return nil
+	}
+	return f.send(c.Payload, c.Done)
 }
-func (f *funcCaller) SendOneWay(p []byte) error                 { return nil }
-func (f *funcCaller) SendMethodOneWay(m uint16, p []byte) error { return nil }
-func (f *funcCaller) Close()                                    {}
+
+// A blackholed peer cannot hold a deadline-bounded call hostage: the
+// blocking forms time Call.Budget at the waiter.
+func TestBlackholeCallTimeout(t *testing.T) {
+	inner := &stubCaller{}
+	fc := WrapCaller(inner, Plan{Seed: 1, PBlackhole: 1})
+	start := time.Now()
+	_, err := fc.CallMethodTimeout(1, []byte("x"), 20*time.Millisecond)
+	if !errors.Is(err, proto.ErrCallTimeout) {
+		t.Fatalf("err = %v, want ErrCallTimeout", err)
+	}
+	if el := time.Since(start); el > 200*time.Millisecond {
+		t.Fatalf("blackholed call returned after %v, want within 200ms", el)
+	}
+	if c := inner.count(); c != 0 {
+		t.Fatalf("inner sends = %d, want 0 (blackholed)", c)
+	}
+}

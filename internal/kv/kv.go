@@ -30,14 +30,15 @@ import (
 
 	"zygos"
 	"zygos/internal/bufpool"
+	"zygos/internal/kvwire"
 )
 
-// Method IDs of the routed operations. Method 0 stays the legacy
-// opcode-in-payload route.
+// Method IDs of the routed operations (the kvwire contract). Method 0
+// stays the legacy opcode-in-payload route.
 const (
-	MethodGet    uint16 = 1
-	MethodSet    uint16 = 2
-	MethodDelete uint16 = 3
+	MethodGet    = kvwire.MethodGet
+	MethodSet    = kvwire.MethodSet
+	MethodDelete = kvwire.MethodDelete
 	// MethodInvalidate is the pub-sub topic invalidation events are
 	// published on (see PublishInvalidations); it is a topic, not a
 	// request route, and registers no handler.
@@ -109,21 +110,16 @@ func DecodeRequest(p []byte) (op byte, key, value []byte, err error) {
 // EncodeSetPayload builds a routed MethodSet payload: [klen:2][key][value].
 // Routed GET and DELETE payloads are the bare key and need no encoder.
 func EncodeSetPayload(buf []byte, key, value []byte) []byte {
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(key)))
-	buf = append(buf, key...)
-	return append(buf, value...)
+	return kvwire.AppendSet(buf, key, value)
 }
 
 // DecodeSetPayload splits a routed MethodSet payload into key and value.
 func DecodeSetPayload(p []byte) (key, value []byte, err error) {
-	if len(p) < 2 {
+	key, value, ok := kvwire.SplitSet(p)
+	if !ok {
 		return nil, nil, ErrBadRequest
 	}
-	klen := int(binary.LittleEndian.Uint16(p[0:2]))
-	if len(p) < 2+klen {
-		return nil, nil, ErrBadRequest
-	}
-	return p[2 : 2+klen], p[2+klen:], nil
+	return key, value, nil
 }
 
 // Store is a sharded LRU cache.

@@ -7,16 +7,11 @@
 package memnet
 
 import (
-	"errors"
-	"sync"
-	"time"
+	"sync/atomic"
 
 	"zygos/internal/core"
 	"zygos/internal/proto"
 )
-
-// ErrClosed is returned by calls on a closed client connection.
-var ErrClosed = errors.New("memnet: connection closed")
 
 // Transport creates in-memory client connections bound to one runtime.
 type Transport struct {
@@ -29,14 +24,14 @@ func NewTransport(rt *core.Runtime) *Transport {
 }
 
 // ClientConn is one in-memory client connection. It is safe for concurrent
-// use; requests may be pipelined.
+// use; requests may be pipelined. Its calling surface is proto.Calls over
+// Do.
 type ClientConn struct {
+	proto.Calls
 	rt     *core.Runtime
 	server *core.Conn
 	disp   *proto.Dispatcher
-
-	mu     sync.Mutex
-	closed bool
+	closed atomic.Bool
 }
 
 // replyWriter delivers the server's reply frames into the client-side
@@ -62,6 +57,7 @@ func (w replyWriter) CloseTransport() {
 // the runtime and steered to its home worker by RSS, as any flow would be.
 func (t *Transport) Dial() *ClientConn {
 	cc := &ClientConn{rt: t.rt, disp: proto.NewDispatcher()}
+	cc.Calls = proto.Calls{Doer: cc}
 	cc.server = t.rt.NewConn(replyWriter{cc})
 	return cc
 }
@@ -70,206 +66,26 @@ func (t *Transport) Dial() *ClientConn {
 // scheduling state.
 func (c *ClientConn) ServerConn() *core.Conn { return c.server }
 
-// sendFrame encodes m into a pooled segment and hands it straight to
-// the runtime — no intermediate copies. When the home worker's ingress
-// ring is full this call blocks (spin-then-park) until the kernel step
-// drains it: the same backpressure a socket write would exert. Legacy
-// (method-less) sends travel as v2 frames, method-routed sends as v3,
-// so both wire paths stay exercised in-process.
-func (c *ClientConn) sendFrame(m proto.Message) error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClosed
+// Do encodes the call into a pooled segment and hands it straight to the
+// runtime — no intermediate copies. When the home worker's ingress ring
+// is full this blocks (spin-then-park) until the kernel step drains it:
+// the same backpressure a socket write would exert. After Close the
+// dispatcher refuses the call.
+func (c *ClientConn) Do(call proto.Call) error {
+	m, err := c.disp.Issue(call)
+	if err != nil {
+		return err
 	}
-	c.mu.Unlock()
 	frame := proto.AppendMessage(c.rt.GetSegment(proto.FrameSizeMsg(m)), m)
-	return c.rt.IngressOwned(c.server, frame)
+	if err := c.rt.IngressOwned(c.server, frame); err != nil {
+		return c.disp.Fail(m, err)
+	}
+	return nil
 }
 
-// SendAsync issues a request and invokes cb with the reply payload (or an
-// error) exactly once. Replies carrying a non-OK wire status surface as
-// *proto.StatusError. The resp slice is a view into a pooled parse
-// buffer valid only for the duration of the callback; retain a copy. It
-// is the open-loop primitive the load generator uses.
-func (c *ClientConn) SendAsync(payload []byte, cb func(resp []byte, err error)) error {
-	if len(payload) > proto.MaxPayloadV2 {
-		return proto.ErrPayloadTooLarge
-	}
-	id, err := c.disp.Register(cb)
-	if err != nil {
-		return err
-	}
-	return c.sendFrame(proto.Message{ID: id, Payload: payload, V2: true})
-}
-
-// SendMethodAsync is SendAsync with a method identifier: the request
-// travels as a v3 frame and the server routes it by method.
-func (c *ClientConn) SendMethodAsync(method uint16, payload []byte, cb func(resp []byte, err error)) error {
-	if len(payload) > proto.MaxPayloadV2 {
-		return proto.ErrPayloadTooLarge
-	}
-	id, err := c.disp.Register(cb)
-	if err != nil {
-		return err
-	}
-	return c.sendFrame(proto.Message{ID: id, Method: method, Payload: payload, V3: true})
-}
-
-// SendMethodBudgetAsync is SendMethodAsync with a deadline budget: the
-// request frame carries the remaining time the caller is willing to
-// wait (FlagDeadline extension), so the server can shed it once it is
-// already useless and schedule it earliest-deadline-first until then.
-// d <= 0 sends no budget.
-func (c *ClientConn) SendMethodBudgetAsync(method uint16, payload []byte, d time.Duration, cb func(resp []byte, err error)) error {
-	if len(payload) > proto.MaxPayloadV2 {
-		return proto.ErrPayloadTooLarge
-	}
-	id, err := c.disp.Register(cb)
-	if err != nil {
-		return err
-	}
-	return c.sendFrame(proto.Message{ID: id, Method: method, Payload: payload, V3: true, Budget: proto.BudgetMicros(d)})
-}
-
-// SendOneWay issues a fire-and-forget request: the server executes it
-// but sends no reply, and no client-side state is kept.
-func (c *ClientConn) SendOneWay(payload []byte) error {
-	if len(payload) > proto.MaxPayloadV2 {
-		return proto.ErrPayloadTooLarge
-	}
-	return c.sendFrame(proto.Message{Flags: proto.FlagOneWay, Payload: payload, V2: true})
-}
-
-// SendMethodOneWay is SendOneWay with a method identifier (v3 frame).
-func (c *ClientConn) SendMethodOneWay(method uint16, payload []byte) error {
-	if len(payload) > proto.MaxPayloadV2 {
-		return proto.ErrPayloadTooLarge
-	}
-	return c.sendFrame(proto.Message{Flags: proto.FlagOneWay, Method: method, Payload: payload, V3: true})
-}
-
-// Call issues a request and blocks for its reply. The returned slice is
-// owned by the caller.
-func (c *ClientConn) Call(payload []byte) ([]byte, error) {
-	return c.CallInto(payload, nil)
-}
-
-// CallInto issues a request, blocks for its reply, and appends the reply
-// payload to buf, returning the extended slice. Passing a reused buffer
-// makes the round trip allocation-free at steady state.
-func (c *ClientConn) CallInto(payload, buf []byte) ([]byte, error) {
-	w := proto.GetWaiter(buf)
-	if err := c.SendAsync(payload, w.Callback()); err != nil {
-		w.Abandon()
-		return nil, err
-	}
-	return w.Wait()
-}
-
-// CallMethod issues a method-routed request and blocks for its reply.
-func (c *ClientConn) CallMethod(method uint16, payload []byte) ([]byte, error) {
-	return c.CallMethodInto(method, payload, nil)
-}
-
-// CallMethodInto is CallMethod with a caller-owned reply buffer, the
-// allocation-free closed-loop form.
-func (c *ClientConn) CallMethodInto(method uint16, payload, buf []byte) ([]byte, error) {
-	w := proto.GetWaiter(buf)
-	if err := c.SendMethodAsync(method, payload, w.Callback()); err != nil {
-		w.Abandon()
-		return nil, err
-	}
-	return w.Wait()
-}
-
-// CallTimeout is Call bounded by d: on expiry it returns
-// proto.ErrCallTimeout promptly and the late reply, if it ever arrives,
-// is discarded at the waiter. d <= 0 means no deadline.
-func (c *ClientConn) CallTimeout(payload []byte, d time.Duration) ([]byte, error) {
-	if len(payload) > proto.MaxPayloadV2 {
-		return nil, proto.ErrPayloadTooLarge
-	}
-	w := proto.GetWaiter(nil)
-	id, err := c.disp.Register(w.Callback())
-	if err != nil {
-		w.Abandon()
-		return nil, err
-	}
-	// The deadline doubles as the wire budget: the server sees how long
-	// this caller will actually wait and sheds/schedules accordingly.
-	if err := c.sendFrame(proto.Message{ID: id, Payload: payload, V2: true, Budget: proto.BudgetMicros(d)}); err != nil {
-		w.Abandon()
-		return nil, err
-	}
-	return w.WaitTimeout(d)
-}
-
-// CallMethodTimeout is CallMethod bounded by d (see CallTimeout).
-func (c *ClientConn) CallMethodTimeout(method uint16, payload []byte, d time.Duration) ([]byte, error) {
-	w := proto.GetWaiter(nil)
-	if err := c.SendMethodBudgetAsync(method, payload, d, w.Callback()); err != nil {
-		w.Abandon()
-		return nil, err
-	}
-	return w.WaitTimeout(d)
-}
-
-// OnDepth installs f to receive the server's scheduling depth from
-// piggybacked health frames (servers started with depth reporting
-// append one to each reply batch). Passing nil uninstalls. f must be
-// cheap — it runs on the reply delivery path.
+// OnDepth implements proto.DepthReporter.
 func (c *ClientConn) OnDepth(f func(depth uint32)) {
 	c.disp.SetDepthFunc(f)
-}
-
-// Subscribe sends a v4 SUBSCRIBE for topic carrying spec (an encoded
-// pubsub subscription spec: policy, queue capacity, filter), installs h
-// to receive matching PUSH frames, and blocks for the server's ack.
-// Returns the client-chosen subscription ID that demultiplexes the
-// pushes. h runs on the reply delivery path and must not block; the
-// payload slice is valid only for the duration of the call.
-func (c *ClientConn) Subscribe(topic uint16, spec []byte, h func(frameID uint32, payload []byte)) (uint32, error) {
-	subID, err := c.disp.RegisterPush(h)
-	if err != nil {
-		return 0, err
-	}
-	w := proto.GetWaiter(nil)
-	id, err := c.disp.Register(w.Callback())
-	if err != nil {
-		c.disp.UnregisterPush(subID)
-		w.Abandon()
-		return 0, err
-	}
-	if err := c.sendFrame(proto.Message{ID: id, Method: topic, SubID: subID, Kind: proto.KindSubscribe, V4: true, Payload: spec}); err != nil {
-		c.disp.UnregisterPush(subID)
-		w.Abandon()
-		return 0, err
-	}
-	if _, err := w.Wait(); err != nil {
-		c.disp.UnregisterPush(subID)
-		return 0, err
-	}
-	return subID, nil
-}
-
-// Unsubscribe retires subscription subID on topic: the push handler is
-// removed immediately (pushes already in flight may deliver once) and
-// the server acks the v4 UNSUBSCRIBE.
-func (c *ClientConn) Unsubscribe(topic uint16, subID uint32) error {
-	c.disp.UnregisterPush(subID)
-	w := proto.GetWaiter(nil)
-	id, err := c.disp.Register(w.Callback())
-	if err != nil {
-		w.Abandon()
-		return err
-	}
-	if err := c.sendFrame(proto.Message{ID: id, Method: topic, SubID: subID, Kind: proto.KindUnsubscribe, V4: true}); err != nil {
-		w.Abandon()
-		return err
-	}
-	_, err = w.Wait()
-	return err
 }
 
 // WriteRaw injects raw bytes into the server-side stream, bypassing
@@ -279,15 +95,12 @@ func (c *ClientConn) WriteRaw(data []byte) error {
 }
 
 // Close tears the connection down: the server side stops accepting
-// ingress and outstanding calls fail with ErrDispatcherClosed.
+// ingress, outstanding calls fail with ErrDispatcherClosed, and later
+// calls are refused.
 func (c *ClientConn) Close() {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if !c.closed.CompareAndSwap(false, true) {
 		return
 	}
-	c.closed = true
-	c.mu.Unlock()
 	c.rt.CloseConn(c.server)
 	c.disp.Close()
 	c.disp.ReleaseParser()

@@ -35,11 +35,8 @@ type Dispatcher struct {
 
 	// push maps subscription IDs to handlers for server-initiated v4
 	// PUSH frames, which carry no request ID and demultiplex by SubID
-	// alongside the reply pending map. nextSub allocates the
-	// client-chosen subscription IDs (unique per dispatcher, and so per
-	// socket).
-	push    map[uint32]func(frameID uint32, payload []byte)
-	nextSub uint32
+	// alongside the reply pending map.
+	push map[uint32]func(frameID uint32, payload []byte)
 
 	// depthFn, when set, receives the queue depth carried by piggybacked
 	// health frames (reserved MethodHealth, request ID 0) the server
@@ -75,35 +72,91 @@ func (d *Dispatcher) Register(cb func(resp []byte, err error)) (uint64, error) {
 	if d.closed {
 		return 0, ErrDispatcherClosed
 	}
+	return d.registerLocked(cb), nil
+}
+
+func (d *Dispatcher) registerLocked(cb func(resp []byte, err error)) uint64 {
 	d.nextID++
-	id := d.nextID
-	d.pending[id] = cb
-	return id, nil
+	d.pending[d.nextID] = cb
+	return d.nextID
 }
 
-// RegisterPush allocates a subscription ID and installs h to receive
-// v4 PUSH frames carrying it. The payload slice is a view into the
-// dispatcher's pooled parse buffer, valid only during the call;
-// handlers that retain it must copy. h runs on the transport's read
-// goroutine and must not block.
-func (d *Dispatcher) RegisterPush(h func(frameID uint32, payload []byte)) (uint32, error) {
+// Issue is the single Call-to-Message mapping every transport sends
+// through. It refuses a payload no frame can carry, picks the frame
+// version — v4 for subscription control, v2 for legacy calls, v3
+// otherwise — stamps the wire budget, and registers the reply callback
+// (and, for a SUBSCRIBE, the push handler; for an UNSUBSCRIBE it drops
+// it). The transport encodes and writes the returned message; if the
+// write fails it reports through Fail.
+func (d *Dispatcher) Issue(c Call) (Message, error) {
+	if len(c.Payload) > MaxPayloadV2 {
+		return Message{}, ErrPayloadTooLarge
+	}
+	m := Message{Method: c.Method, Payload: c.Payload, Budget: BudgetMicros(c.Budget)}
+	switch {
+	case c.Kind != 0:
+		m.V4, m.Kind, m.SubID = true, c.Kind, c.SubID
+	case c.Legacy:
+		m.Method, m.V2 = 0, true
+	default:
+		m.V3 = true
+	}
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.closed {
-		return 0, ErrDispatcherClosed
+		d.mu.Unlock()
+		return Message{}, ErrDispatcherClosed
 	}
-	if d.push == nil {
-		d.push = make(map[uint32]func(frameID uint32, payload []byte))
+	if c.OneWay {
+		d.mu.Unlock()
+		m.Flags = FlagOneWay
+		return m, nil
 	}
-	d.nextSub++
-	id := d.nextSub
-	d.push[id] = h
-	return id, nil
+	switch c.Kind {
+	case KindSubscribe:
+		if d.push == nil {
+			d.push = make(map[uint32]func(frameID uint32, payload []byte))
+		}
+		d.push[c.SubID] = c.Push
+		// A refused subscription must not keep its handler installed.
+		done, sub := c.Done, c.SubID
+		c.Done = func(resp []byte, err error) {
+			if err != nil {
+				d.dropPush(sub)
+			}
+			done(resp, err)
+		}
+	case KindUnsubscribe:
+		delete(d.push, c.SubID)
+	}
+	m.ID = d.registerLocked(c.Done)
+	d.mu.Unlock()
+	return m, nil
 }
 
-// UnregisterPush removes the handler for subscription id. Pushes
-// already staged in a concurrent Feed may still be delivered once.
-func (d *Dispatcher) UnregisterPush(id uint32) {
+// Fail withdraws a message Issue registered but the transport could not
+// send, and returns err for Do to report — or nil when the dispatcher
+// has already handed the call's callback its outcome (it closed under
+// the failed send), so every failure reaches the caller exactly once.
+func (d *Dispatcher) Fail(m Message, err error) error {
+	if m.Flags&FlagOneWay != 0 {
+		return err
+	}
+	d.mu.Lock()
+	_, pending := d.pending[m.ID]
+	delete(d.pending, m.ID)
+	if m.Kind == KindSubscribe {
+		delete(d.push, m.SubID)
+	}
+	d.mu.Unlock()
+	if !pending {
+		return nil
+	}
+	return err
+}
+
+// dropPush removes the handler for subscription id. Pushes already
+// staged in a concurrent Feed may still be delivered once.
+func (d *Dispatcher) dropPush(id uint32) {
 	d.mu.Lock()
 	delete(d.push, id)
 	d.mu.Unlock()

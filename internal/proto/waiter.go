@@ -32,14 +32,14 @@ const (
 	waitAbandoned
 )
 
-// Waiter is a pooled rendezvous for blocking calls built on an async
-// SendAsync primitive: it owns a reusable one-slot channel and a
-// pre-bound callback, so a closed-loop Call/CallInto round trip performs
-// no allocations at steady state.
+// Waiter is a pooled rendezvous for blocking calls built on the async
+// Do primitive: it owns a reusable one-slot channel and a pre-bound
+// callback, so a closed-loop Call/CallInto round trip performs no
+// allocations at steady state.
 //
-// Usage: w := GetWaiter(buf); pass w.Callback() to SendAsync; if the
-// send failed call w.Abandon(), otherwise return w.Wait() (or
-// w.WaitTimeout(d) for a deadline-bounded call).
+// Usage (see Calls.roundTrip): w := GetWaiter(buf); set Call.Done to
+// w.Callback(); if Do failed call w.Abandon(), otherwise return w.Wait()
+// (or w.WaitTimeout(d) for a deadline-bounded call).
 type Waiter struct {
 	ch    chan waitResult
 	buf   []byte
@@ -64,7 +64,7 @@ func GetWaiter(buf []byte) *Waiter {
 	return w
 }
 
-// Callback returns the function to hand to SendAsync. It copies the
+// Callback returns the function to use as Call.Done. It copies the
 // reply out of the transport's parse buffer, so the reply outlives the
 // callback scope.
 func (w *Waiter) Callback() func(resp []byte, err error) { return w.cb }

@@ -77,7 +77,9 @@ func (m *ConnManager) NewCaller() (*ManagedCaller, error) {
 		return nil, ErrManagerClosed
 	}
 	i := m.next.Add(1) - 1
-	return &ManagedCaller{sock: m.socks[i%uint64(len(m.socks))]}, nil
+	c := &ManagedCaller{sock: m.socks[i%uint64(len(m.socks))]}
+	c.Calls = proto.Calls{Doer: c}
+	return c, nil
 }
 
 // Dials reports how many TCP dial attempts the manager has made over
@@ -90,12 +92,7 @@ func (m *ConnManager) Dials() uint64 { return m.dials.Load() }
 // Passing nil uninstalls. f must be cheap — it runs on read loops.
 func (m *ConnManager) OnDepth(f func(depth uint32)) {
 	for _, ms := range m.socks {
-		ms.mu.Lock()
-		ms.onDepth = f
-		if ms.disp != nil {
-			ms.disp.SetDepthFunc(f)
-		}
-		ms.mu.Unlock()
+		ms.setDepthFunc(f)
 	}
 }
 
@@ -250,37 +247,40 @@ func (ms *managedSock) close(err error) {
 	}
 }
 
-// register allocates a request ID on the socket's dispatcher, dialing
-// first if needed.
-func (ms *managedSock) register(cb func(resp []byte, err error)) (uint64, error) {
+// setDepthFunc installs the depth hook on the live dispatcher and
+// remembers it for every redial's fresh one.
+func (ms *managedSock) setDepthFunc(f func(depth uint32)) {
 	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	if err := ms.ensureDialedLocked(); err != nil {
-		return 0, err
-	}
-	return ms.disp.Register(cb)
-}
-
-// registerPush installs a push handler on the socket's dispatcher,
-// dialing first if needed. The subscription ID is unique per socket —
-// exactly the scope PUSH frames demultiplex in.
-func (ms *managedSock) registerPush(h func(frameID uint32, payload []byte)) (uint32, error) {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	if err := ms.ensureDialedLocked(); err != nil {
-		return 0, err
-	}
-	return ms.disp.RegisterPush(h)
-}
-
-// unregisterPush removes a push handler if the socket still holds its
-// dispatcher (a redial already dropped it otherwise).
-func (ms *managedSock) unregisterPush(id uint32) {
-	ms.mu.Lock()
+	ms.onDepth = f
 	if ms.disp != nil {
-		ms.disp.UnregisterPush(id)
+		ms.disp.SetDepthFunc(f)
 	}
 	ms.mu.Unlock()
+}
+
+// do issues one call on the socket, dialing first if needed: the
+// socket's current dispatcher registers it, and the encoded frame is
+// staged for the flush-combining write. The bytes are copied into the
+// coalescing buffer, so the frame returns to the pool immediately.
+func (ms *managedSock) do(call proto.Call) error {
+	ms.mu.Lock()
+	if err := ms.ensureDialedLocked(); err != nil {
+		ms.mu.Unlock()
+		return err
+	}
+	disp := ms.disp
+	ms.mu.Unlock()
+	m, err := disp.Issue(call)
+	if err != nil {
+		return err
+	}
+	frame := proto.AppendMessage(bufpool.Get(proto.FrameSizeMsg(m)), m)
+	err = ms.send(frame)
+	bufpool.Put(frame)
+	if err != nil {
+		return disp.Fail(m, err)
+	}
+	return nil
 }
 
 // send stages frame and flushes the socket: if a flusher is already
@@ -325,20 +325,14 @@ func (ms *managedSock) send(frame []byte) error {
 	return err
 }
 
-// sendMessage encodes m into a pooled buffer and stages it; the bytes
-// are copied into the coalescing buffer, so the frame can return to the
-// pool immediately.
-func (ms *managedSock) sendMessage(m proto.Message) error {
-	frame := proto.AppendMessage(bufpool.Get(proto.FrameSizeMsg(m)), m)
-	err := ms.send(frame)
-	bufpool.Put(frame)
-	return err
-}
-
 // ManagedCaller is one logical caller multiplexed over a ConnManager
-// socket. It implements the same calling conventions as Client; see
-// ConnManager for the ownership rules.
+// socket. Its calling surface is proto.Calls over Do, the same as
+// Client's; see ConnManager for the ownership rules. Subscriptions ride
+// the caller's socket and do not survive a redial: a socket-level
+// failure drops the dispatcher and with it every push handler, so
+// subscribers must re-subscribe after transport errors.
 type ManagedCaller struct {
+	proto.Calls
 	sock   *managedSock
 	closed atomic.Bool
 }
@@ -347,178 +341,15 @@ type ManagedCaller struct {
 // scheduling depth from piggybacked health frames; the hook survives
 // redials and is shared by every caller on the socket (last installer
 // wins). Passing nil uninstalls.
-func (c *ManagedCaller) OnDepth(f func(depth uint32)) {
-	ms := c.sock
-	ms.mu.Lock()
-	ms.onDepth = f
-	if ms.disp != nil {
-		ms.disp.SetDepthFunc(f)
-	}
-	ms.mu.Unlock()
-}
+func (c *ManagedCaller) OnDepth(f func(depth uint32)) { c.sock.setDepthFunc(f) }
 
-// SendAsync issues a request; cb runs exactly once with the reply or an
-// error. The resp slice is valid only for the duration of the callback.
-func (c *ManagedCaller) SendAsync(payload []byte, cb func(resp []byte, err error)) error {
-	return c.sendAsync(proto.Message{Payload: payload, V2: true}, cb)
-}
-
-// SendMethodAsync is SendAsync with a method identifier (v3 frame).
-func (c *ManagedCaller) SendMethodAsync(method uint16, payload []byte, cb func(resp []byte, err error)) error {
-	return c.sendAsync(proto.Message{Method: method, Payload: payload, V3: true}, cb)
-}
-
-// SendMethodBudgetAsync is SendMethodAsync with a deadline budget
-// stamped on the wire (FlagDeadline extension); d <= 0 sends no budget.
-func (c *ManagedCaller) SendMethodBudgetAsync(method uint16, payload []byte, d time.Duration, cb func(resp []byte, err error)) error {
-	return c.sendAsync(proto.Message{Method: method, Payload: payload, V3: true, Budget: proto.BudgetMicros(d)}, cb)
-}
-
-func (c *ManagedCaller) sendAsync(m proto.Message, cb func(resp []byte, err error)) error {
+// Do issues the call on the caller's socket. After Close it is refused
+// with net.ErrClosed; after the manager closes, with ErrManagerClosed.
+func (c *ManagedCaller) Do(call proto.Call) error {
 	if c.closed.Load() {
 		return net.ErrClosed
 	}
-	if len(m.Payload) > proto.MaxPayloadV2 {
-		return proto.ErrPayloadTooLarge
-	}
-	id, err := c.sock.register(cb)
-	if err != nil {
-		return err
-	}
-	m.ID = id
-	return c.sock.sendMessage(m)
-}
-
-// SendOneWay issues a fire-and-forget request: the server executes it
-// but sends no reply, and no client-side state is kept.
-func (c *ManagedCaller) SendOneWay(payload []byte) error {
-	return c.sendOneWay(proto.Message{Flags: proto.FlagOneWay, Payload: payload, V2: true})
-}
-
-// SendMethodOneWay is SendOneWay with a method identifier (v3 frame).
-func (c *ManagedCaller) SendMethodOneWay(method uint16, payload []byte) error {
-	return c.sendOneWay(proto.Message{Flags: proto.FlagOneWay, Method: method, Payload: payload, V3: true})
-}
-
-func (c *ManagedCaller) sendOneWay(m proto.Message) error {
-	if c.closed.Load() {
-		return net.ErrClosed
-	}
-	if len(m.Payload) > proto.MaxPayloadV2 {
-		return proto.ErrPayloadTooLarge
-	}
-	return c.sock.sendMessage(m)
-}
-
-// Call issues a request and blocks for the reply. The returned slice is
-// owned by the caller.
-func (c *ManagedCaller) Call(payload []byte) ([]byte, error) {
-	return c.CallInto(payload, nil)
-}
-
-// CallInto is Call with a caller-owned reply buffer, the
-// allocation-free closed-loop form.
-func (c *ManagedCaller) CallInto(payload, buf []byte) ([]byte, error) {
-	w := proto.GetWaiter(buf)
-	if err := c.SendAsync(payload, w.Callback()); err != nil {
-		w.Abandon()
-		return nil, err
-	}
-	return w.Wait()
-}
-
-// CallMethod issues a method-routed request and blocks for its reply.
-func (c *ManagedCaller) CallMethod(method uint16, payload []byte) ([]byte, error) {
-	return c.CallMethodInto(method, payload, nil)
-}
-
-// CallMethodInto is CallMethod with a caller-owned reply buffer.
-func (c *ManagedCaller) CallMethodInto(method uint16, payload, buf []byte) ([]byte, error) {
-	w := proto.GetWaiter(buf)
-	if err := c.SendMethodAsync(method, payload, w.Callback()); err != nil {
-		w.Abandon()
-		return nil, err
-	}
-	return w.Wait()
-}
-
-// CallTimeout is Call bounded by d: on expiry it returns
-// proto.ErrCallTimeout promptly and the late reply, if it ever arrives,
-// is discarded at the waiter. d <= 0 means no deadline.
-func (c *ManagedCaller) CallTimeout(payload []byte, d time.Duration) ([]byte, error) {
-	w := proto.GetWaiter(nil)
-	// The deadline doubles as the wire budget (see SendMethodBudgetAsync).
-	if err := c.sendAsync(proto.Message{Payload: payload, V2: true, Budget: proto.BudgetMicros(d)}, w.Callback()); err != nil {
-		w.Abandon()
-		return nil, err
-	}
-	return w.WaitTimeout(d)
-}
-
-// CallMethodTimeout is CallMethod bounded by d (see CallTimeout).
-func (c *ManagedCaller) CallMethodTimeout(method uint16, payload []byte, d time.Duration) ([]byte, error) {
-	w := proto.GetWaiter(nil)
-	if err := c.SendMethodBudgetAsync(method, payload, d, w.Callback()); err != nil {
-		w.Abandon()
-		return nil, err
-	}
-	return w.WaitTimeout(d)
-}
-
-// Subscribe sends a v4 SUBSCRIBE for topic carrying spec (an encoded
-// pubsub subscription spec), installs h to receive matching PUSH
-// frames, and blocks for the server's ack. The subscription ID is
-// allocated from the caller's socket dispatcher — PUSH frames
-// demultiplex by it alongside reply IDs on the shared socket.
-// Subscriptions do not survive a redial: a socket-level failure drops
-// the dispatcher and with it every push handler, so subscribers must
-// re-subscribe after transport errors.
-func (c *ManagedCaller) Subscribe(topic uint16, spec []byte, h func(frameID uint32, payload []byte)) (uint32, error) {
-	if c.closed.Load() {
-		return 0, net.ErrClosed
-	}
-	subID, err := c.sock.registerPush(h)
-	if err != nil {
-		return 0, err
-	}
-	w := proto.GetWaiter(nil)
-	id, err := c.sock.register(w.Callback())
-	if err != nil {
-		c.sock.unregisterPush(subID)
-		w.Abandon()
-		return 0, err
-	}
-	if err := c.sock.sendMessage(proto.Message{ID: id, Method: topic, SubID: subID, Kind: proto.KindSubscribe, V4: true, Payload: spec}); err != nil {
-		c.sock.unregisterPush(subID)
-		w.Abandon()
-		return 0, err
-	}
-	if _, err := w.Wait(); err != nil {
-		c.sock.unregisterPush(subID)
-		return 0, err
-	}
-	return subID, nil
-}
-
-// Unsubscribe retires subscription subID on topic: the push handler is
-// removed immediately and the server acks the v4 UNSUBSCRIBE.
-func (c *ManagedCaller) Unsubscribe(topic uint16, subID uint32) error {
-	if c.closed.Load() {
-		return net.ErrClosed
-	}
-	c.sock.unregisterPush(subID)
-	w := proto.GetWaiter(nil)
-	id, err := c.sock.register(w.Callback())
-	if err != nil {
-		w.Abandon()
-		return err
-	}
-	if err := c.sock.sendMessage(proto.Message{ID: id, Method: topic, SubID: subID, Kind: proto.KindUnsubscribe, V4: true}); err != nil {
-		w.Abandon()
-		return err
-	}
-	_, err = w.Wait()
-	return err
+	return c.sock.do(call)
 }
 
 // Close retires the logical caller: its future sends fail. The shared

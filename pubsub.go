@@ -161,47 +161,19 @@ func encodeSubSpec(f Filter, opts SubscribeOptions) ([]byte, error) {
 }
 
 // Subscribe registers h for pushes on topic matching f, over the
-// in-process transport. See Subscriber.
-func (c *Client) Subscribe(topic uint16, f Filter, opts SubscribeOptions, h PushHandler) (*Subscription, error) {
+// client's connection. On a ManagedClient, PUSH frames demultiplex by
+// subscription ID alongside reply IDs on the shared socket, and
+// subscriptions do not survive a redial. See Subscriber.
+func (c *clientBase) Subscribe(topic uint16, f Filter, opts SubscribeOptions, h PushHandler) (*Subscription, error) {
 	spec, err := encodeSubSpec(f, opts)
 	if err != nil {
 		return nil, err
 	}
-	id, err := c.cc.Subscribe(topic, spec, h)
+	id, err := c.Calls.Subscribe(topic, spec, h)
 	if err != nil {
 		return nil, err
 	}
-	return &Subscription{topic: topic, id: id, unsub: func() error { return c.cc.Unsubscribe(topic, id) }}, nil
-}
-
-// Subscribe registers h for pushes on topic matching f, over TCP. See
-// Subscriber.
-func (c *TCPClient) Subscribe(topic uint16, f Filter, opts SubscribeOptions, h PushHandler) (*Subscription, error) {
-	spec, err := encodeSubSpec(f, opts)
-	if err != nil {
-		return nil, err
-	}
-	id, err := c.tc.Subscribe(topic, spec, h)
-	if err != nil {
-		return nil, err
-	}
-	return &Subscription{topic: topic, id: id, unsub: func() error { return c.tc.Unsubscribe(topic, id) }}, nil
-}
-
-// Subscribe registers h for pushes on topic matching f, over the
-// caller's ConnManager socket. PUSH frames demultiplex by subscription
-// ID alongside reply IDs on the shared socket. Subscriptions do not
-// survive a redial. See Subscriber.
-func (c *ManagedClient) Subscribe(topic uint16, f Filter, opts SubscribeOptions, h PushHandler) (*Subscription, error) {
-	spec, err := encodeSubSpec(f, opts)
-	if err != nil {
-		return nil, err
-	}
-	id, err := c.mc.Subscribe(topic, spec, h)
-	if err != nil {
-		return nil, err
-	}
-	return &Subscription{topic: topic, id: id, unsub: func() error { return c.mc.Unsubscribe(topic, id) }}, nil
+	return &Subscription{topic: topic, id: id, unsub: func() error { return c.Unsubscribe(topic, id) }}, nil
 }
 
 // connSub ties one wire subscription to its bus registration, so a

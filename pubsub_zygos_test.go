@@ -214,7 +214,7 @@ func TestPushFairQueuing(t *testing.T) {
 	tc := nc.(*net.TCPConn)
 	_ = tc.SetNoDelay(true)
 	_ = tc.SetReadBuffer(128 << 10)
-	c := &TCPClient{tc: tcpnet.NewClientOn(nc)}
+	c := &TCPClient{newClientBase(tcpnet.NewClientOn(nc))}
 	defer c.Close()
 
 	measureP99 := func(n int) time.Duration {

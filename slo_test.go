@@ -428,15 +428,17 @@ func TestClusterFrontTierAdmission(t *testing.T) {
 func TestProxyBudgetDecrement(t *testing.T) {
 	const m uint16 = 9
 	seen := make(chan time.Duration, 1)
-	mux := NewMux()
-	mux.HandleFunc(m, func(w ResponseWriter, req *Request) {
+	report := func(w ResponseWriter, req *Request) {
 		rem, ok := req.RemainingBudget()
 		if !ok {
 			rem = -1
 		}
 		seen <- rem
 		w.Reply([]byte("ok"))
-	})
+	}
+	mux := NewMux()
+	mux.HandleFunc(m, report)
+	mux.HandleFunc(0, report)
 	backend := newEchoServer(t, Config{Cores: 1, Handler: mux.Handler()})
 	cl := NewCluster(ClusterConfig{})
 	defer cl.Close()
@@ -456,6 +458,14 @@ func TestProxyBudgetDecrement(t *testing.T) {
 	rem := <-seen
 	if rem <= 0 || rem >= budget {
 		t.Fatalf("backend saw remaining budget %v, want decremented within (0, %v)", rem, budget)
+	}
+
+	// Legacy (method-less) calls forward their remaining budget too.
+	if _, err := c.CallTimeout(nil, budget); err != nil {
+		t.Fatal(err)
+	}
+	if rem := <-seen; rem <= 0 || rem >= budget {
+		t.Fatalf("legacy call: backend saw remaining budget %v, want decremented within (0, %v)", rem, budget)
 	}
 
 	// Expired before forwarding: StatusDeadlineExceeded straight from

@@ -58,8 +58,10 @@
 //
 //	srv.Use(srv.LatencyRecording(), srv.AdmissionControl(1024))
 //
-// In-process clients (srv.NewClient) and TCP clients (DialClient) share
-// the Caller interface and the same calling conventions.
+// In-process clients (srv.NewClient), TCP clients (DialClient), managed
+// callers and clusters share the Caller interface: each transport
+// implements one primitive, Do, and the calling conventions over it are
+// written once.
 package zygos
 
 import (
@@ -573,7 +575,8 @@ func ListenShards(addr string, shards int) ([]net.Listener, error) {
 // full scheduling path (parser, shuffle queue, stealing, ordered TX)
 // without sockets.
 func (s *Server) NewClient() *Client {
-	return &Client{cc: s.mem.Dial()}
+	cc := s.mem.Dial()
+	return &Client{clientBase: newClientBase(cc), cc: cc}
 }
 
 // Stats returns a snapshot of scheduler and middleware counters.
@@ -653,14 +656,42 @@ func (s *Server) Close() {
 	s.rt.Close()
 }
 
+// Call is one client request described by value — method or legacy
+// route, payload, deadline budget, one-way flag, reply callback. It is
+// what every calling form below reduces to; see Caller.
+type Call = proto.Call
+
+// Doer is the one request primitive: Do sends a Call without waiting for
+// its reply. Every client type — Client, TCPClient, ManagedClient and
+// ClusterCaller — implements it, and ClusterCaller.Add accepts any Doer
+// as a backend.
+type Doer = proto.Doer
+
 // Caller is one client connection to a Server, independent of transport.
-// Both Client (in-process) and TCPClient satisfy it; load generators and
-// benchmarks program against Caller so one code path drives either.
+// Every client type satisfies it; load generators and benchmarks program
+// against Caller so one code path drives any of them.
 //
-// The method-less calls travel as v2 frames and land on the server's
-// method-0 (legacy) route; the Method variants carry a wire method ID in
-// a v3 frame and are routed by the server's Mux.
+// A transport implements a single primitive, Do. Every other method is
+// a convenience over it, written once (the blocking forms wait on a
+// pooled waiter, the async forms hand the callback straight to Do), so
+// all transports behave identically. The method-less calls travel as
+// v2 frames and land on the server's method-0 (legacy) route; the
+// Method variants carry a wire method ID in a v3 frame and are routed by
+// the server's Mux.
+//
+// A deadline has one owner. CallTimeout's d travels as the wire budget
+// the server sheds and schedules by, and the blocking call itself gives
+// up with ErrCallTimeout when d runs out — except through a
+// ClusterCaller, whose per-request deadline timer settles the call (and
+// counts it in DeadlinesExpired) instead.
+//
+// Close fails the calls still outstanding, and every later call on the
+// closed Caller returns an error without invoking its callback.
 type Caller interface {
+	// Do sends c without waiting for its reply. If it returns an error,
+	// c.Done is never invoked; otherwise c.Done (unless c.OneWay) runs
+	// exactly once.
+	Do(c Call) error
 	// Call issues a request and blocks for its reply. Non-OK reply
 	// statuses surface as *StatusError. The returned slice is owned by
 	// the caller.
@@ -693,14 +724,15 @@ type Caller interface {
 	SendOneWay(payload []byte) error
 	// SendMethodOneWay is SendOneWay with a wire method ID.
 	SendMethodOneWay(method uint16, payload []byte) error
-	// Close tears down the connection; outstanding calls fail.
+	// Close tears down the connection; outstanding calls fail and later
+	// calls are refused.
 	Close()
 }
 
 // BudgetCaller is the optional capability of callers that can stamp an
 // explicit deadline budget on an open-loop send (closed-loop calls get
 // one automatically from CallTimeout/CallMethodTimeout). Client,
-// TCPClient, ManagedClient, and ClusterClient all implement it; code
+// TCPClient, ManagedClient, and ClusterCaller all implement it; code
 // holding a Caller type-asserts for it.
 type BudgetCaller interface {
 	// SendMethodBudgetAsync is SendMethodAsync with a deadline budget
@@ -713,48 +745,47 @@ type BudgetCaller interface {
 var (
 	_ Caller       = (*Client)(nil)
 	_ Caller       = (*TCPClient)(nil)
+	_ Caller       = (*ManagedClient)(nil)
 	_ BudgetCaller = (*Client)(nil)
 	_ BudgetCaller = (*TCPClient)(nil)
 	_ BudgetCaller = (*ManagedClient)(nil)
 )
 
+// transport is what a client type needs from the connection beneath it.
+type transport interface {
+	proto.Doer
+	proto.DepthReporter
+	Close()
+}
+
+// clientBase is the calling surface the three client types share: the
+// transport's Do with every Caller form derived from it, depth reports,
+// subscriptions, and Close.
+type clientBase struct {
+	proto.Calls
+	conn transport
+}
+
+func newClientBase(t transport) clientBase {
+	return clientBase{Calls: proto.Calls{Doer: t}, conn: t}
+}
+
+// OnDepth installs f to receive the server's live scheduling depth from
+// piggybacked health frames (servers started with Config.DepthFrames).
+// The cluster tier's balancer installs this to route on live queue
+// depth; f must be cheap — it runs on the reply delivery path. Passing
+// nil uninstalls.
+func (c *clientBase) OnDepth(f func(depth uint32)) { c.conn.OnDepth(f) }
+
+// Close tears down the connection; outstanding calls fail and later
+// calls are refused.
+func (c *clientBase) Close() { c.conn.Close() }
+
 // Client is an in-process connection to a Server. It is safe for
 // concurrent use and supports pipelining.
 type Client struct {
+	clientBase
 	cc *memnet.ClientConn
-}
-
-// Call issues a request and blocks for its reply.
-func (c *Client) Call(payload []byte) ([]byte, error) { return c.cc.Call(payload) }
-
-// CallInto issues a request, blocks for its reply, and appends the reply
-// payload to buf, returning the extended slice. Reusing the returned
-// buffer across calls makes the round trip allocation-free at steady
-// state.
-func (c *Client) CallInto(payload, buf []byte) ([]byte, error) { return c.cc.CallInto(payload, buf) }
-
-// CallMethod issues a method-routed request (v3 frame) and blocks for
-// its reply.
-func (c *Client) CallMethod(method uint16, payload []byte) ([]byte, error) {
-	return c.cc.CallMethod(method, payload)
-}
-
-// CallMethodInto is CallMethod with a caller-owned reply buffer, the
-// allocation-free closed-loop form.
-func (c *Client) CallMethodInto(method uint16, payload, buf []byte) ([]byte, error) {
-	return c.cc.CallMethodInto(method, payload, buf)
-}
-
-// CallTimeout is Call bounded by d: on expiry it returns ErrCallTimeout
-// promptly and the late reply is discarded safely. d <= 0 means no
-// deadline.
-func (c *Client) CallTimeout(payload []byte, d time.Duration) ([]byte, error) {
-	return c.cc.CallTimeout(payload, d)
-}
-
-// CallMethodTimeout is CallMethod bounded by d (see CallTimeout).
-func (c *Client) CallMethodTimeout(method uint16, payload []byte, d time.Duration) ([]byte, error) {
-	return c.cc.CallMethodTimeout(method, payload, d)
 }
 
 // Home returns the index of the worker this connection is homed on (its
@@ -762,123 +793,20 @@ func (c *Client) CallMethodTimeout(method uint16, payload []byte, d time.Duratio
 // skewed workloads in tests.
 func (c *Client) Home() int { return c.cc.ServerConn().Home() }
 
-// SendAsync issues a request; cb runs exactly once with the reply payload
-// or an error. This is the open-loop load-generation primitive.
-func (c *Client) SendAsync(payload []byte, cb func(resp []byte, err error)) error {
-	return c.cc.SendAsync(payload, cb)
-}
-
-// SendMethodAsync is SendAsync with a wire method ID (v3 frame).
-func (c *Client) SendMethodAsync(method uint16, payload []byte, cb func(resp []byte, err error)) error {
-	return c.cc.SendMethodAsync(method, payload, cb)
-}
-
-// SendMethodBudgetAsync is SendMethodAsync with a wire deadline budget
-// (see BudgetCaller).
-func (c *Client) SendMethodBudgetAsync(method uint16, payload []byte, d time.Duration, cb func(resp []byte, err error)) error {
-	return c.cc.SendMethodBudgetAsync(method, payload, d, cb)
-}
-
-// OnDepth installs f to receive the server's live scheduling depth from
-// piggybacked health frames (servers started with Config.DepthFrames).
-// The cluster tier's balancer installs this to route on live queue
-// depth; f must be cheap — it runs on the reply delivery path.
-func (c *Client) OnDepth(f func(depth uint32)) { c.cc.OnDepth(f) }
-
-// SendOneWay issues a fire-and-forget request: the server executes it
-// but transmits no reply.
-func (c *Client) SendOneWay(payload []byte) error { return c.cc.SendOneWay(payload) }
-
-// SendMethodOneWay is SendOneWay with a wire method ID (v3 frame).
-func (c *Client) SendMethodOneWay(method uint16, payload []byte) error {
-	return c.cc.SendMethodOneWay(method, payload)
-}
-
-// Close tears down the connection; outstanding calls fail.
-func (c *Client) Close() { c.cc.Close() }
-
 // DialClient connects to a remote Server over TCP.
 func DialClient(addr string, timeout time.Duration) (*TCPClient, error) {
 	tc, err := tcpnet.Dial(addr, timeout)
 	if err != nil {
 		return nil, err
 	}
-	return &TCPClient{tc: tc}, nil
+	return &TCPClient{newClientBase(tc)}, nil
 }
 
 // TCPClient is a TCP connection to a Server, with the same calling
 // conventions as Client.
 type TCPClient struct {
-	tc *tcpnet.Client
+	clientBase
 }
-
-// Call issues a request and blocks for its reply.
-func (c *TCPClient) Call(payload []byte) ([]byte, error) { return c.tc.Call(payload) }
-
-// CallInto issues a request, blocks for its reply, and appends the reply
-// payload to buf, returning the extended slice. Reusing the returned
-// buffer across calls makes the client side allocation-free at steady
-// state.
-func (c *TCPClient) CallInto(payload, buf []byte) ([]byte, error) {
-	return c.tc.CallInto(payload, buf)
-}
-
-// CallMethod issues a method-routed request (v3 frame) and blocks for
-// its reply.
-func (c *TCPClient) CallMethod(method uint16, payload []byte) ([]byte, error) {
-	return c.tc.CallMethod(method, payload)
-}
-
-// CallMethodInto is CallMethod with a caller-owned reply buffer, the
-// allocation-free closed-loop form.
-func (c *TCPClient) CallMethodInto(method uint16, payload, buf []byte) ([]byte, error) {
-	return c.tc.CallMethodInto(method, payload, buf)
-}
-
-// CallTimeout is Call bounded by d: on expiry it returns ErrCallTimeout
-// promptly and the late reply is discarded safely. d <= 0 means no
-// deadline.
-func (c *TCPClient) CallTimeout(payload []byte, d time.Duration) ([]byte, error) {
-	return c.tc.CallTimeout(payload, d)
-}
-
-// CallMethodTimeout is CallMethod bounded by d (see CallTimeout).
-func (c *TCPClient) CallMethodTimeout(method uint16, payload []byte, d time.Duration) ([]byte, error) {
-	return c.tc.CallMethodTimeout(method, payload, d)
-}
-
-// SendAsync issues a request; cb runs exactly once with the reply or an
-// error.
-func (c *TCPClient) SendAsync(payload []byte, cb func(resp []byte, err error)) error {
-	return c.tc.SendAsync(payload, cb)
-}
-
-// SendMethodAsync is SendAsync with a wire method ID (v3 frame).
-func (c *TCPClient) SendMethodAsync(method uint16, payload []byte, cb func(resp []byte, err error)) error {
-	return c.tc.SendMethodAsync(method, payload, cb)
-}
-
-// SendMethodBudgetAsync is SendMethodAsync with a wire deadline budget
-// (see BudgetCaller).
-func (c *TCPClient) SendMethodBudgetAsync(method uint16, payload []byte, d time.Duration, cb func(resp []byte, err error)) error {
-	return c.tc.SendMethodBudgetAsync(method, payload, d, cb)
-}
-
-// OnDepth installs f to receive the server's live scheduling depth from
-// piggybacked health frames (servers started with Config.DepthFrames).
-func (c *TCPClient) OnDepth(f func(depth uint32)) { c.tc.OnDepth(f) }
-
-// SendOneWay issues a fire-and-forget request: the server executes it
-// but transmits no reply.
-func (c *TCPClient) SendOneWay(payload []byte) error { return c.tc.SendOneWay(payload) }
-
-// SendMethodOneWay is SendOneWay with a wire method ID (v3 frame).
-func (c *TCPClient) SendMethodOneWay(method uint16, payload []byte) error {
-	return c.tc.SendMethodOneWay(method, payload)
-}
-
-// Close tears down the connection; outstanding calls fail.
-func (c *TCPClient) Close() { c.tc.Close() }
 
 // ConnManager multiplexes many logical Callers onto a small fixed set
 // of TCP connections: an application tier with thousands of logical
@@ -909,7 +837,7 @@ func (m *ConnManager) NewCaller() (Caller, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ManagedClient{mc: mc}, nil
+	return &ManagedClient{newClientBase(mc)}, nil
 }
 
 // OnDepth installs f to receive the server's live scheduling depth from
@@ -925,76 +853,10 @@ func (m *ConnManager) Sockets() int { return m.cm.Sockets() }
 func (m *ConnManager) Close() { m.cm.Close() }
 
 // ManagedClient is a logical client multiplexed over a ConnManager
-// socket. See ConnManager for the ownership rules.
+// socket. See ConnManager for the ownership rules: its Close retires
+// the logical caller, and the shared socket stays open for the
+// manager's other callers. Its depth hook is shared by every caller on
+// the socket and survives redials.
 type ManagedClient struct {
-	mc *tcpnet.ManagedCaller
+	clientBase
 }
-
-var _ Caller = (*ManagedClient)(nil)
-
-// Call issues a request and blocks for its reply.
-func (c *ManagedClient) Call(payload []byte) ([]byte, error) { return c.mc.Call(payload) }
-
-// CallInto is Call with a caller-owned reply buffer, the
-// allocation-free closed-loop form.
-func (c *ManagedClient) CallInto(payload, buf []byte) ([]byte, error) {
-	return c.mc.CallInto(payload, buf)
-}
-
-// CallMethod issues a method-routed request (v3 frame) and blocks for
-// its reply.
-func (c *ManagedClient) CallMethod(method uint16, payload []byte) ([]byte, error) {
-	return c.mc.CallMethod(method, payload)
-}
-
-// CallMethodInto is CallMethod with a caller-owned reply buffer.
-func (c *ManagedClient) CallMethodInto(method uint16, payload, buf []byte) ([]byte, error) {
-	return c.mc.CallMethodInto(method, payload, buf)
-}
-
-// CallTimeout is Call bounded by d: on expiry it returns ErrCallTimeout
-// promptly and the late reply is discarded safely. d <= 0 means no
-// deadline.
-func (c *ManagedClient) CallTimeout(payload []byte, d time.Duration) ([]byte, error) {
-	return c.mc.CallTimeout(payload, d)
-}
-
-// CallMethodTimeout is CallMethod bounded by d (see CallTimeout).
-func (c *ManagedClient) CallMethodTimeout(method uint16, payload []byte, d time.Duration) ([]byte, error) {
-	return c.mc.CallMethodTimeout(method, payload, d)
-}
-
-// SendAsync issues a request; cb runs exactly once with the reply or an
-// error.
-func (c *ManagedClient) SendAsync(payload []byte, cb func(resp []byte, err error)) error {
-	return c.mc.SendAsync(payload, cb)
-}
-
-// SendMethodAsync is SendAsync with a wire method ID (v3 frame).
-func (c *ManagedClient) SendMethodAsync(method uint16, payload []byte, cb func(resp []byte, err error)) error {
-	return c.mc.SendMethodAsync(method, payload, cb)
-}
-
-// SendMethodBudgetAsync is SendMethodAsync with a wire deadline budget
-// (see BudgetCaller).
-func (c *ManagedClient) SendMethodBudgetAsync(method uint16, payload []byte, d time.Duration, cb func(resp []byte, err error)) error {
-	return c.mc.SendMethodBudgetAsync(method, payload, d, cb)
-}
-
-// OnDepth installs f to receive the server's live scheduling depth from
-// piggybacked health frames arriving on this caller's socket. The hook
-// survives redials of the underlying socket.
-func (c *ManagedClient) OnDepth(f func(depth uint32)) { c.mc.OnDepth(f) }
-
-// SendOneWay issues a fire-and-forget request: the server executes it
-// but transmits no reply.
-func (c *ManagedClient) SendOneWay(payload []byte) error { return c.mc.SendOneWay(payload) }
-
-// SendMethodOneWay is SendOneWay with a wire method ID (v3 frame).
-func (c *ManagedClient) SendMethodOneWay(method uint16, payload []byte) error {
-	return c.mc.SendMethodOneWay(method, payload)
-}
-
-// Close retires the logical caller; the shared socket stays open for
-// the manager's other callers.
-func (c *ManagedClient) Close() { c.mc.Close() }
