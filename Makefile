@@ -6,7 +6,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: all build loc test vet chaos-soak bench bench-sched bench-conn bench-cluster bench-cluster-gate bench-slo bench-slo-gate bench-pubsub bench-pubsub-gate bench-smoke bench-e2e-smoke bench-gate
+.PHONY: all build loc test vet chaos-soak bench bench-sched bench-conn bench-cluster bench-cluster-gate bench-slo bench-slo-gate bench-pubsub bench-pubsub-gate bench-smoke bench-e2e-smoke bench-gate bench-pair
 
 all: build test
 
@@ -135,6 +135,16 @@ bench-smoke:
 bench-e2e-smoke:
 	cd benchmark && $(GO) test ./...
 	bash benchmark/run.sh -smoke
+
+# Paired end-to-end runs against a parent revision: SEEDS seeds × the
+# four workloads on both trees, alternating which runs first, then the
+# table a performance claim is judged by — each side's median and
+# quartiles per end-to-end metric, pairs won, and whether the median gap
+# exceeds the parent's IQR. 24 s runs: ten seeds take about 40 minutes.
+PARENT ?= HEAD~1
+SEEDS ?= 10
+bench-pair:
+	bash scripts/benchpair.sh $(PARENT) $(SEEDS)
 
 # Regression gate: re-measure the hot-path suite and fail if any
 # benchmark's ns/op regressed more than the threshold against the

@@ -9,7 +9,9 @@
 package zygos
 
 import (
+	"net"
 	"testing"
+	"time"
 
 	"zygos/internal/proto"
 )
@@ -90,6 +92,52 @@ func TestAllocsRoutedEchoRoundTrip(t *testing.T) {
 	allocs := testing.AllocsPerRun(2000, call)
 	if allocs >= allocBudget {
 		t.Fatalf("routed echo round trip allocates %.2f/op; budget %.2f (method dispatch must stay allocation-free)", allocs, allocBudget)
+	}
+}
+
+// The echo round trip over loopback TCP — DialClient to Server.Serve,
+// where the server's workers read and write their sockets themselves —
+// holds the same bar: a socket read or write must not build a closure.
+func TestAllocsTCPEchoRoundTrip(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation accounting is load-bearing; skip under -short")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation allocates and sync.Pool drops Puts under -race")
+	}
+	srv, err := NewServer(Config{
+		Cores:   2,
+		Handler: func(w ResponseWriter, req *Request) { w.Reply(req.Payload) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l)
+	c, err := DialClient(l.Addr().String(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	payload := []byte("0123456789abcdef")
+	var buf []byte
+	call := func() {
+		r, err := c.CallInto(payload, buf[:0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf = r
+	}
+	for i := 0; i < 512; i++ {
+		call()
+	}
+	allocs := testing.AllocsPerRun(2000, call)
+	if allocs >= allocBudget {
+		t.Fatalf("TCP echo round trip allocates %.2f/op; budget %.2f (zero-allocation hot path regressed)", allocs, allocBudget)
 	}
 }
 

@@ -14,7 +14,8 @@ import (
 // against: a transport's Wait/Wake written the obvious way, one mutex
 // and one condition variable per worker and a sticky wake flag (the
 // eventfd). It also polices the teardown invariant — once detachPoller
-// has returned, no owner may be inside Wait or Poll.
+// has returned, no owner may be inside Wait or Poll — and counts the two
+// kinds of poll it was asked for.
 type modelPoller struct {
 	name    string
 	mu      []sync.Mutex
@@ -23,11 +24,12 @@ type modelPoller struct {
 	inside  []atomic.Int32
 	retired atomic.Bool // set after detachPoller returned
 	errs    chan string
+	polls   *[2]atomic.Int64 // home=false, home=true; shared across generations
 }
 
-func newModelPoller(name string, n int, errs chan string) *modelPoller {
+func newModelPoller(name string, n int, errs chan string, polls *[2]atomic.Int64) *modelPoller {
 	m := &modelPoller{
-		name: name, errs: errs,
+		name: name, errs: errs, polls: polls,
 		mu: make([]sync.Mutex, n), cond: make([]*sync.Cond, n),
 		woken: make([]bool, n), inside: make([]atomic.Int32, n),
 	}
@@ -44,10 +46,15 @@ func (m *modelPoller) fail(format string, args ...any) {
 	}
 }
 
-func (m *modelPoller) Poll(worker int) bool {
+func (m *modelPoller) Poll(worker int, home bool) bool {
 	m.inside[worker].Add(1)
 	if m.retired.Load() {
 		m.fail("worker %d entered Poll after the detach returned", worker)
+	}
+	if home {
+		m.polls[1].Add(1)
+	} else {
+		m.polls[0].Add(1)
 	}
 	m.inside[worker].Add(-1)
 	return false
@@ -86,6 +93,8 @@ func (m *modelPoller) Wake(worker int) {
 // properties checked: no published item is left unconsumed while its
 // owner sleeps (a lost wake shows as a hang), nothing is consumed twice
 // or invented, and no owner is inside a poller once its detach returned.
+// Owners issue both kinds of poll — the loop-top home poll and the full
+// one a proxier runs — in random order.
 func TestParkerModel(t *testing.T) {
 	const (
 		workers    = 3
@@ -105,6 +114,7 @@ func TestParkerModel(t *testing.T) {
 	}
 	errs := make(chan string, 16)
 	var stop atomic.Bool
+	var polls [2]atomic.Int64
 
 	var owners sync.WaitGroup
 	for i := 0; i < workers; i++ {
@@ -120,7 +130,7 @@ func TestParkerModel(t *testing.T) {
 					continue
 				}
 				if pl := p.acquirePoller(); pl != nil {
-					pl.Poll(i)
+					pl.Poll(i, rng.Intn(2) == 0)
 					p.releasePoller()
 				}
 				g := p.prepare()
@@ -193,7 +203,7 @@ func TestParkerModel(t *testing.T) {
 			}
 		}
 		for gen := 0; !stop.Load(); gen++ {
-			m := newModelPoller(fmt.Sprintf("poller#%d", gen), workers, errs)
+			m := newModelPoller(fmt.Sprintf("poller#%d", gen), workers, errs, &polls)
 			if !hook.CompareAndSwap(nil, &pollerRef{m}) {
 				errs <- "attach found a poller still attached"
 				return
@@ -252,6 +262,9 @@ func TestParkerModel(t *testing.T) {
 		t.Fatal(e)
 	default:
 	}
+	if polls[0].Load() == 0 || polls[1].Load() == 0 {
+		t.Fatalf("polls issued: %d full, %d home; the schedule must cover both", polls[0].Load(), polls[1].Load())
+	}
 }
 
 // TestParkerStaleTokenAcrossAttach pins the one token that has no Wake
@@ -271,7 +284,7 @@ func TestParkerStaleTokenAcrossAttach(t *testing.T) {
 	p.cancel() // the recheck saw the work; the token stays behind
 
 	errs := make(chan string, 4)
-	m := newModelPoller("poller", 1, errs)
+	m := newModelPoller("poller", 1, errs, new([2]atomic.Int64))
 	hook.Store(&pollerRef{m})
 
 	slept := make(chan struct{})

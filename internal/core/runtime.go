@@ -97,17 +97,22 @@ func (f HandlerFunc) Serve(ctx *Ctx, conn *Conn, msg proto.Message) { f(ctx, con
 type Poller interface {
 	// Poll harvests the worker's socket set without blocking: readable
 	// bytes go to the runtime through TryIngressOwned, writable sockets
-	// resume their parked egress. A worker polls its own set at the top
-	// of every loop iteration; an idle worker polls the set of a worker
-	// stuck in application code on its behalf. At most one caller reads a
-	// set at a time — a concurrent call returns false at once. It reports
-	// whether anything was harvested.
-	Poll(worker int) bool
+	// resume their parked egress. At most one caller reads a set at a
+	// time — a concurrent call returns false at once. It reports whether
+	// anything was harvested.
+	//
+	// home is true for the owner's own poll at the top of every loop
+	// iteration. It may then harvest only what the owner's last Wait
+	// returned and skip checking the rest of the set, provided anything
+	// it skips ends the owner's next Wait at once. home is false for an
+	// idle worker polling the set of a worker stuck in application code:
+	// that poll must see everything the set holds.
+	Poll(worker int, home bool) bool
 	// Wait blocks the calling worker until its socket set is ready, a
-	// socket set it watches on a neighbour's behalf receives data, Wake
-	// is called for it, or the timeout passes; it reports whether it
-	// timed out. It must not leave a runnable goroutine stranded behind
-	// the blocked thread.
+	// socket set it watches on a neighbour's behalf receives data while
+	// that neighbour is not itself waiting, Wake is called for it, or
+	// the timeout passes; it reports whether it timed out. It must not
+	// leave a runnable goroutine stranded behind the blocked thread.
 	Wait(worker int, timeout time.Duration) bool
 	// Wake makes the worker's current or next Wait return. It never
 	// blocks.

@@ -155,13 +155,13 @@ func (w *Worker) run() {
 
 // pollSockets harvests worker target's socket set (w's own, or that of a
 // worker w is proxying for) into target's ingress ring, when a transport
-// Poller is attached.
-func (w *Worker) pollSockets(target int) bool {
+// Poller is attached. home is Poller.Poll's: w's own loop-top poll.
+func (w *Worker) pollSockets(target int, home bool) bool {
 	p := w.ec.acquirePoller()
 	if p == nil {
 		return false
 	}
-	did := p.Poll(target)
+	did := p.Poll(target, home)
 	w.ec.releasePoller()
 	return did
 }
@@ -170,7 +170,7 @@ func (w *Worker) pollSockets(target int) bool {
 // own sockets, the kernel step (flush remote completions, parse ingress
 // into the ready ring), then one activation from the local ready ring.
 func (w *Worker) homeWork() bool {
-	did := w.pollSockets(w.id)
+	did := w.pollSockets(w.id, true)
 	if w.kernelMu.TryLock() {
 		if w.kernelStep() {
 			did = true
@@ -625,7 +625,7 @@ func (w *Worker) stealWork() bool {
 			// victim is polled — one wedged outside application code (blocked
 			// on a stalled peer's egress backpressure) has no flag to show it.
 			if victim.inApp.Load() || watchdog {
-				w.pollSockets(v)
+				w.pollSockets(v, false)
 			}
 			if victim.ingress.Len() == 0 && !victim.remote.nonEmpty() {
 				continue

@@ -63,6 +63,13 @@ type serverConn struct {
 	closed    bool
 	err       error
 	tornDown  bool
+
+	// The platform write step's syscall callback and its operand and
+	// results (sysWriteStep); owned by the goroutine that set writing.
+	writeFn func(uintptr)
+	wbuf    []byte
+	wn      int
+	werr    error
 }
 
 // touch records wire activity for the idle accounting.
@@ -215,7 +222,7 @@ func (sc *serverConn) pollWritable() {
 // block.
 func (sc *serverConn) writeStep(buf []byte) (int, bool, error) {
 	if sc.fd >= 0 {
-		return sysWriteStep(sc.rc, buf)
+		return sysWriteStep(sc, buf)
 	}
 	_ = sc.nc.SetWriteDeadline(time.Now().Add(portableWriteSlice))
 	n, err := sc.nc.Write(buf)

@@ -59,13 +59,21 @@ func rawFD(rc syscall.RawConn) (int, bool) {
 	return fd, true
 }
 
-// sysWriteStep performs one nonblocking write on the raw fd (Go marks
-// its socket fds O_NONBLOCK). It reports bytes written and whether the
-// socket would block.
-func sysWriteStep(rc syscall.RawConn, buf []byte) (int, bool, error) {
-	var n int
-	var werr error
-	if cerr := rc.Control(func(fd uintptr) { n, werr = syscall.Write(int(fd), buf) }); cerr != nil {
+// sysWriteStep performs one nonblocking write of buf on the
+// connection's raw fd (Go marks its socket fds O_NONBLOCK). It reports
+// bytes written and whether the socket would block. The syscall runs in
+// the connection's writeFn, built once, so a write allocates nothing;
+// its operand and results travel in fields that only the drain's single
+// writer (sc.writing) touches.
+func sysWriteStep(sc *serverConn, buf []byte) (int, bool, error) {
+	if sc.writeFn == nil {
+		sc.writeFn = func(fd uintptr) { sc.wn, sc.werr = syscall.Write(int(fd), sc.wbuf) }
+	}
+	sc.wbuf = buf
+	cerr := sc.rc.Control(sc.writeFn)
+	n, werr := sc.wn, sc.werr
+	sc.wbuf = nil
+	if cerr != nil {
 		return 0, false, cerr
 	}
 	if n < 0 {
@@ -107,24 +115,51 @@ func sysWriteWait(rc syscall.RawConn, buf []byte) (int, error) {
 }
 
 // sockSet is one runtime worker's share of the transport: the sockets of
-// the connections whose Home() is that worker, in an epoll instance of
-// their own (sockEp, level-triggered), and the worker's wait set
-// (waitEp): its sockEp, a wake eventfd, and — edge-triggered — the
-// sockEps of the other workers, so that data arriving for a worker stuck
-// in application code wakes an idle one, which harvests that set on the
-// owner's behalf (the paper's idle-loop poll of a remote NIC queue,
-// kernel-driven). No goroutine belongs to a set: the worker is the
-// poller.
+// the connections whose Home() is that worker, and the epoll instances
+// the worker polls them through. Every member socket is registered
+// directly in three kinds of set:
+//
+//   - sockEp, level-triggered: the harvest view. A non-blocking wait on
+//     it finds every readable member; a worker proxying for the owner
+//     harvests through it, and so does the owner when it has reason to
+//     think its last wait did not show everything.
+//   - the owner's waitEp, level-triggered and EPOLLEXCLUSIVE, tagged as a
+//     member (memberTag) so the owner knows which events it can read
+//     straight away.
+//   - the waitEp of each watcher — the maxWatched workers before this one,
+//     cyclically — edge-triggered and EPOLLEXCLUSIVE: data arriving for a
+//     worker stuck in application code wakes an idle one, which harvests
+//     the set on the owner's behalf (the paper's idle-loop poll of a
+//     remote NIC queue, kernel-driven).
+//
+// The owner's entry comes first on the socket's wait queue, and exclusive
+// entries stop the kernel's wake walk at the first epoll instance a
+// thread is blocked on: an arrival wakes the owner if it is waiting,
+// otherwise the first waiting watcher, never both, and is queued (not
+// woken) everywhere before that. The owner's blocking wait returns the
+// member events that ended it, and its next home poll reads exactly those
+// sockets; the non-blocking wait on sockEp runs only when something says
+// more is waiting (poll). Anything that lands while the owner is busy is
+// still queued in its level-triggered waitEp and ends its next wait at
+// once.
+//
+// Write readiness lives in wrEp, which holds the sockets whose egress is
+// parked (EPOLLOUT) and is itself nested in sockEp and waitEp: exclusive
+// entries cannot be modified, so arming a write adds to wrEp rather than
+// changing a socket's entry. waitEp also holds the wake eventfd. No
+// goroutine belongs to a set: the worker is the poller.
 //
 // It coexists with Go's netpoller — the sockets remain registered there
 // too, and the egress backpressure path waits on that side. One read is
 // issued per readiness event so a firehose connection cannot starve its
 // siblings; remaining data simply re-reports, level-triggered.
 type sockSet struct {
-	s      *Server
-	sockEp int
-	waitEp int
-	wakeFd int
+	s        *Server
+	sockEp   int
+	waitEp   int
+	wrEp     int
+	wakeFd   int
+	watchers []*sockSet // the sets whose waitEp also holds this set's sockets
 
 	// goEp is how Go's netpoller sees the wait set: an epoll instance of
 	// its own, registered there for good, that holds waitEp only while
@@ -143,16 +178,29 @@ type sockSet struct {
 
 	// readMu admits one harvester at a time — the owning worker or a
 	// worker proxying for it — and guards everything a harvest touches.
-	readMu sync.Mutex
-	events []syscall.EpollEvent
-	buf    []byte // leased read scratch, handed off on big reads
+	readMu   sync.Mutex
+	events   []syscall.EpollEvent
+	wrEvents []syscall.EpollEvent
+	buf      []byte        // leased read scratch, handed off on big reads
+	readFn   func(uintptr) // reads buf into rn/rerr; built once
+	rn       int
+	rerr     error
+	// more asks the next home poll for the non-blocking wait on sockEp:
+	// a read filled the buffer, an events array came back full, or a
+	// segment was stashed — readiness the owner's wait may not show.
+	more bool
 	// stash is a segment that was read but found the home ingress ring
 	// full. Nothing more is read from the set until it has been pushed:
 	// the bytes behind it wait in their sockets.
 	stash     []byte
 	stashConn *serverConn
 
-	waitEvents []syscall.EpollEvent // owner only
+	// waitEvents[:ready] are the member events the owner's last wait
+	// returned and no poll has harvested yet; waitFull says that wait
+	// filled the array. Owner only.
+	waitEvents []syscall.EpollEvent
+	ready      int
+	waitFull   bool
 
 	// wakeMu orders Wake, which any goroutine may call at any time,
 	// against closing the eventfd.
@@ -166,6 +214,10 @@ type workerSets struct {
 	sets []*sockSet
 }
 
+// harvestEvents sizes a set's event arrays: how many readiness events one
+// wait or poll takes at a time.
+const harvestEvents = 128
+
 func newWorkerSets(s *Server, n int) (*workerSets, error) {
 	ws := &workerSets{}
 	fail := func(err error) (*workerSets, error) {
@@ -174,18 +226,19 @@ func newWorkerSets(s *Server, n int) (*workerSets, error) {
 	}
 	for i := 0; i < n; i++ {
 		ss := &sockSet{
-			s: s, sockEp: -1, waitEp: -1, wakeFd: -1,
+			s: s, sockEp: -1, waitEp: -1, wrEp: -1, wakeFd: -1,
 			conns:      make(map[int32]*serverConn),
-			events:     make([]syscall.EpollEvent, 128),
-			waitEvents: make([]syscall.EpollEvent, n+1),
+			events:     make([]syscall.EpollEvent, harvestEvents),
+			wrEvents:   make([]syscall.EpollEvent, 32),
+			waitEvents: make([]syscall.EpollEvent, harvestEvents),
 		}
+		ss.readFn = func(fd uintptr) { ss.rn, ss.rerr = syscall.Read(int(fd), ss.buf) }
 		ws.sets = append(ws.sets, ss)
 		var err error
-		if ss.sockEp, err = syscall.EpollCreate1(syscall.EPOLL_CLOEXEC); err != nil {
-			return fail(err)
-		}
-		if ss.waitEp, err = syscall.EpollCreate1(syscall.EPOLL_CLOEXEC); err != nil {
-			return fail(err)
+		for _, ep := range []*int{&ss.sockEp, &ss.waitEp, &ss.wrEp} {
+			if *ep, err = syscall.EpollCreate1(syscall.EPOLL_CLOEXEC); err != nil {
+				return fail(err)
+			}
 		}
 		// eventfd2's flags are the open(2) ones.
 		fd, _, errno := syscall.Syscall(syscall.SYS_EVENTFD2, 0, syscall.O_NONBLOCK|syscall.O_CLOEXEC, 0)
@@ -193,6 +246,19 @@ func newWorkerSets(s *Server, n int) (*workerSets, error) {
 			return fail(errno)
 		}
 		ss.wakeFd = int(fd)
+		// The eventfd's entry is exclusive only to prove that this kernel
+		// takes EPOLLEXCLUSIVE (Linux 4.5+): one that refuses it fails the
+		// set-up here, and the transport falls back to the portable
+		// pollers.
+		if err := epollAdd(ss.waitEp, ss.wakeFd, syscall.EPOLLIN|epollExclusive, 0); err != nil {
+			return fail(err)
+		}
+		if err := epollAdd(ss.waitEp, ss.wrEp, syscall.EPOLLIN, memberTag); err != nil {
+			return fail(err)
+		}
+		if err := epollAdd(ss.sockEp, ss.wrEp, syscall.EPOLLIN, 0); err != nil {
+			return fail(err)
+		}
 		if err := ss.openGoEp(); err != nil {
 			return fail(err)
 		}
@@ -202,21 +268,8 @@ func newWorkerSets(s *Server, n int) (*workerSets, error) {
 		watched = min(n-1, maxWatched)
 	}
 	for i, ss := range ws.sets {
-		if err := epollAdd(ss.waitEp, ss.sockEp, syscall.EPOLLIN); err != nil {
-			return fail(err)
-		}
-		if err := epollAdd(ss.waitEp, ss.wakeFd, syscall.EPOLLIN); err != nil {
-			return fail(err)
-		}
 		for k := 1; k <= watched; k++ {
-			other := ws.sets[(i+k)%n]
-			// Edge-triggered: one report per arrival, consumed by the
-			// wait that returns it. Whether to act on it is the steal
-			// scan's decision (it polls the set only if the owner is
-			// stuck in application code).
-			if err := epollAdd(ss.waitEp, other.sockEp, syscall.EPOLLIN|epollET); err != nil {
-				return fail(err)
-			}
+			ss.watchers = append(ss.watchers, ws.sets[(i-k+n)%n])
 		}
 	}
 	return ws, nil
@@ -249,7 +302,7 @@ func (ss *sockSet) openGoEp() error {
 		if err != nil {
 			return true // EINTR: treat as a wake
 		}
-		ss.drainWake(n)
+		ss.collect(n)
 		return n > 0
 	}
 	if err := ss.armGo(true); err != nil {
@@ -266,7 +319,7 @@ func (ss *sockSet) armGo(on bool) error {
 	var err error
 	cerr := ss.goRC.Control(func(fd uintptr) {
 		if on {
-			err = epollAdd(int(fd), ss.waitEp, syscall.EPOLLIN)
+			err = epollAdd(int(fd), ss.waitEp, syscall.EPOLLIN, 0)
 		} else {
 			err = syscall.EpollCtl(int(fd), syscall.EPOLL_CTL_DEL, ss.waitEp, nil)
 		}
@@ -280,21 +333,28 @@ func (ss *sockSet) armGo(on bool) error {
 	return err
 }
 
-// maxWatched bounds how many neighbours' socket sets one worker's wait
-// set watches (the next maxWatched workers, cyclically), and with it how
-// many sleeping workers one arrival wakes: every watcher is woken from
-// the kernel's receive path, idle owner or not, so watching everyone
-// would charge each packet a wake per core on a large machine. A stuck
-// worker none of whose watchers is idle is still reached by the watchdog
-// pass of the steal scan.
+// maxWatched bounds how many neighbours watch one worker's sockets (the
+// maxWatched workers before it, cyclically), and with it the epoll
+// registrations per socket (2 + watched, besides Go's netpoller) and the
+// epoll_ctl calls an accept costs. An arrival wakes at most one worker
+// whatever the bound. A stuck worker none of whose watchers is idle is
+// still reached by the watchdog pass of the steal scan.
 const maxWatched = 8
 
-// epollET is EPOLLET as the uint32 EpollEvent.Events wants (the syscall
-// package's constant is a negative int).
-const epollET = 1 << 31
+// Event bits the syscall package spells as negative ints or lacks,
+// typed as the uint32 EpollEvent.Events wants.
+const (
+	epollET        = 1 << 31
+	epollExclusive = 1 << 28
+)
 
-func epollAdd(epfd, fd int, events uint32) error {
-	ev := syscall.EpollEvent{Events: events, Fd: int32(fd)}
+// memberTag marks, in EpollEvent.Pad, the wait-set entries of a worker's
+// own set (its sockets and wrEp) as opposed to a watched neighbour's
+// sockets and the wake eventfd.
+const memberTag = 1
+
+func epollAdd(epfd, fd int, events uint32, tag int32) error {
+	ev := syscall.EpollEvent{Events: events, Fd: int32(fd), Pad: tag}
 	return syscall.EpollCtl(epfd, syscall.EPOLL_CTL_ADD, fd, &ev)
 }
 
@@ -312,11 +372,10 @@ func (ws *workerSets) closeFDs() {
 		if ss.goEp != nil {
 			ss.goEp.Close()
 		}
-		if ss.waitEp >= 0 {
-			syscall.Close(ss.waitEp)
-		}
-		if ss.sockEp >= 0 {
-			syscall.Close(ss.sockEp)
+		for _, ep := range []int{ss.waitEp, ss.sockEp, ss.wrEp} {
+			if ep >= 0 {
+				syscall.Close(ep)
+			}
 		}
 		ss.readMu.Lock()
 		if ss.buf != nil {
@@ -332,7 +391,7 @@ func (ws *workerSets) closeFDs() {
 }
 
 // Poll implements core.Poller.
-func (ws *workerSets) Poll(worker int) bool { return ws.sets[worker].poll() }
+func (ws *workerSets) Poll(worker int, home bool) bool { return ws.sets[worker].poll(home) }
 
 // Wait implements core.Poller.
 func (ws *workerSets) Wait(worker int, timeout time.Duration) bool {
@@ -352,7 +411,17 @@ func (ss *sockSet) addConn(sc *serverConn) error {
 	ss.mu.Unlock()
 	var ctlErr error
 	err := sc.rc.Control(func(fd uintptr) {
-		ctlErr = epollAdd(ss.sockEp, int(fd), syscall.EPOLLIN)
+		// The owner's exclusive entry goes on the socket's wait queue
+		// before any watcher's: it is the one the wake walk tries first.
+		ctlErr = epollAdd(ss.sockEp, int(fd), syscall.EPOLLIN, 0)
+		if ctlErr == nil {
+			ctlErr = epollAdd(ss.waitEp, int(fd), syscall.EPOLLIN|epollExclusive, memberTag)
+		}
+		for _, w := range ss.watchers {
+			if ctlErr == nil {
+				ctlErr = epollAdd(w.waitEp, int(fd), syscall.EPOLLIN|epollET|epollExclusive, 0)
+			}
+		}
 	})
 	if err == nil {
 		err = ctlErr
@@ -364,13 +433,13 @@ func (ss *sockSet) addConn(sc *serverConn) error {
 	return nil
 }
 
-// armWrite adds EPOLLOUT to the connection's event mask; called with
+// armWrite puts the connection in wrEp for write readiness; called with
 // sc.mu held, which serializes it against disarm and teardown.
 func (ss *sockSet) armWrite(sc *serverConn) {
 	if sc.armed {
 		return
 	}
-	ss.ctlMod(sc, syscall.EPOLLIN|syscall.EPOLLOUT)
+	_ = sc.rc.Control(func(fd uintptr) { _ = epollAdd(ss.wrEp, int(fd), syscall.EPOLLOUT, 0) })
 	sc.armed = true
 }
 
@@ -378,27 +447,18 @@ func (ss *sockSet) disarmWrite(sc *serverConn) {
 	if !sc.armed {
 		return
 	}
-	ss.ctlMod(sc, syscall.EPOLLIN)
+	_ = sc.rc.Control(func(fd uintptr) { _ = syscall.EpollCtl(ss.wrEp, syscall.EPOLL_CTL_DEL, int(fd), nil) })
 	sc.armed = false
 }
 
-func (ss *sockSet) ctlMod(sc *serverConn, events uint32) {
-	ev := syscall.EpollEvent{Events: events, Fd: int32(sc.fd)}
-	_ = sc.rc.Control(func(fd uintptr) {
-		_ = syscall.EpollCtl(ss.sockEp, syscall.EPOLL_CTL_MOD, int(fd), &ev)
-	})
-}
-
+// delConn forgets the connection. Its epoll entries need no removal:
+// teardown closes the socket next, which takes it out of every set.
 func (ss *sockSet) delConn(sc *serverConn) {
 	ss.mu.Lock()
 	if cur, ok := ss.conns[int32(sc.fd)]; ok && cur == sc {
 		delete(ss.conns, int32(sc.fd))
 	}
 	ss.mu.Unlock()
-	// Best effort: closing the fd deregisters it anyway.
-	_ = sc.rc.Control(func(fd uintptr) {
-		_ = syscall.EpollCtl(ss.sockEp, syscall.EPOLL_CTL_DEL, int(fd), nil)
-	})
 }
 
 // close is a no-op: a set owns no goroutine to stop, and its descriptors
@@ -418,10 +478,10 @@ func (ss *sockSet) wake() {
 }
 
 // wait blocks the owning worker until its wait set is ready or the
-// timeout passes, and reports whether it was the timeout. Which member
-// fired does not matter to the caller — every return is followed by the
-// worker's full rescan — except that the wake eventfd is read back to
-// zero.
+// timeout passes, and reports whether it was the timeout. The member
+// events that ended it are kept for the next home poll (collect); a
+// watched neighbour's event is only a wake — the steal scan that follows
+// decides whether to act on it.
 //
 // How it blocks is chosen by what this process is. A process that only
 // serves blocks its workers in a raw epoll_wait: the kernel wakes the
@@ -435,7 +495,9 @@ func (ss *sockSet) wake() {
 // goroutines by construction (the clients' read loops), and measured
 // over loopback its round trips went from ~250µs to ~5ms. There the
 // workers park in Go's netpoller instead (waitNetpoller): a few
-// microseconds and three short syscalls more per park, no P held.
+// microseconds and three short syscalls more per park, no P held. No
+// thread blocks on a wait set itself then, so the exclusive entries do
+// not stop the wake walk and every watcher parked that way is woken too.
 func (ss *sockSet) wait(timeout time.Duration) bool {
 	if clientReaders.Load() > 0 {
 		return ss.waitNetpoller(timeout)
@@ -443,15 +505,24 @@ func (ss *sockSet) wait(timeout time.Duration) bool {
 	return ss.waitRaw(timeout)
 }
 
-// drainWake reads the wake eventfd back to zero if it is among the n
-// events just returned.
-func (ss *sockSet) drainWake(n int) {
+// collect takes the n events a wait returned: it reads the wake eventfd
+// back to zero if it is among them and keeps the member events, in
+// place, for the next home poll.
+func (ss *sockSet) collect(n int) {
+	k := 0
 	for i := 0; i < n; i++ {
-		if int(ss.waitEvents[i].Fd) == ss.wakeFd {
+		ev := ss.waitEvents[i]
+		switch {
+		case int(ev.Fd) == ss.wakeFd:
 			var cnt [8]byte
 			_, _ = syscall.Read(ss.wakeFd, cnt[:])
+		case ev.Pad == memberTag:
+			ss.waitEvents[k] = ev
+			k++
 		}
 	}
+	ss.ready = k
+	ss.waitFull = n == len(ss.waitEvents)
 }
 
 func (ss *sockSet) waitRaw(timeout time.Duration) bool {
@@ -475,7 +546,7 @@ func (ss *sockSet) waitRaw(timeout time.Duration) bool {
 		// usefully; the rescan and the watchdog carry on.
 		return false
 	}
-	ss.drainWake(n)
+	ss.collect(n)
 	return n == 0
 }
 
@@ -497,10 +568,13 @@ func (ss *sockSet) waitNetpoller(timeout time.Duration) bool {
 	return false
 }
 
-// poll harvests the set without blocking: a stashed segment first, then
-// one read per readable socket and one drain resume per writable one. It
-// reports whether it moved anything.
-func (ss *sockSet) poll() bool {
+// poll harvests the set without blocking and reports whether it moved
+// anything: a stashed segment first, then one read per readable socket
+// and one drain resume per writable one. The owner's home poll reads the
+// member events its last wait returned and skips the wait on sockEp
+// unless more is set — whatever arrived since is queued in its waitEp and
+// ends its next wait at once. A proxier's poll waits on sockEp.
+func (ss *sockSet) poll(home bool) bool {
 	if !ss.readMu.TryLock() {
 		return false
 	}
@@ -512,27 +586,77 @@ func (ss *sockSet) poll() bool {
 		}
 		did = true
 	}
+	if home {
+		evs := ss.waitEvents[:ss.ready]
+		ss.ready = 0
+		if ss.waitFull {
+			ss.waitFull, ss.more = false, true
+		}
+		if ss.harvest(evs) {
+			did = true
+		}
+		if !ss.more || ss.stash != nil {
+			return did
+		}
+	}
+	ss.more = false
 	n, err := syscall.EpollWait(ss.sockEp, ss.events, 0)
 	if err != nil {
+		ss.more = true
 		return did
 	}
-	for i := 0; i < n; i++ {
-		ev := &ss.events[i]
+	if n == len(ss.events) {
+		ss.more = true
+	}
+	return ss.harvest(ss.events[:n]) || did
+}
+
+// harvest acts on readiness events of member sockets (and of wrEp). It
+// stops at a stash. Caller holds readMu.
+func (ss *sockSet) harvest(evs []syscall.EpollEvent) bool {
+	did := false
+	for i := range evs {
+		fd := evs[i].Fd
+		if int(fd) == ss.wrEp {
+			if ss.pollWrites() {
+				did = true
+			}
+			continue
+		}
 		ss.mu.Lock()
-		sc := ss.conns[ev.Fd]
+		sc := ss.conns[fd]
 		ss.mu.Unlock()
 		if sc == nil {
 			continue
 		}
 		did = true
-		if ev.Events&syscall.EPOLLOUT != 0 {
-			sc.pollWritable()
+		ss.readConn(sc)
+		if ss.stash != nil {
+			break
 		}
-		if ev.Events&(syscall.EPOLLIN|syscall.EPOLLHUP|syscall.EPOLLERR) != 0 {
-			ss.readConn(sc)
-			if ss.stash != nil {
-				break
-			}
+	}
+	return did
+}
+
+// pollWrites resumes the parked drains whose sockets are writable.
+// Caller holds readMu.
+func (ss *sockSet) pollWrites() bool {
+	n, err := syscall.EpollWait(ss.wrEp, ss.wrEvents, 0)
+	if err != nil {
+		ss.more = true
+		return false
+	}
+	if n == len(ss.wrEvents) {
+		ss.more = true
+	}
+	did := false
+	for i := 0; i < n; i++ {
+		ss.mu.Lock()
+		sc := ss.conns[ss.wrEvents[i].Fd]
+		ss.mu.Unlock()
+		if sc != nil {
+			sc.pollWritable()
+			did = true
 		}
 	}
 	return did
@@ -541,15 +665,15 @@ func (ss *sockSet) poll() bool {
 // readConn issues one nonblocking read and routes the result: data to
 // the runtime (zero-copy for big reads), EOF or error to teardown,
 // EAGAIN onward. The read rides a SyscallConn callback so a concurrent
-// teardown cannot recycle the fd mid-syscall. Caller holds readMu.
+// teardown cannot recycle the fd mid-syscall; the callback is the set's
+// readFn, so a read allocates nothing. Caller holds readMu.
 func (ss *sockSet) readConn(sc *serverConn) {
 	if ss.buf == nil {
 		b := ss.s.rt.GetSegment(readBufSize)
 		ss.buf = b[:cap(b)]
 	}
-	var n int
-	var rerr error
-	cerr := sc.rc.Control(func(fd uintptr) { n, rerr = syscall.Read(int(fd), ss.buf) })
+	cerr := sc.rc.Control(ss.readFn)
+	n, rerr := ss.rn, ss.rerr
 	if cerr != nil {
 		sc.teardown()
 		return
@@ -561,6 +685,9 @@ func (ss *sockSet) readConn(sc *serverConn) {
 		// Zero-byte read (EOF) or a hard error: the peer is gone.
 		sc.teardown()
 		return
+	}
+	if n == len(ss.buf) {
+		ss.more = true // the socket may hold more than one read took
 	}
 	sc.touch()
 	var seg []byte
@@ -579,7 +706,9 @@ func (ss *sockSet) readConn(sc *serverConn) {
 func (ss *sockSet) pushSegment(sc *serverConn, seg []byte) bool {
 	err := ss.s.rt.TryIngressOwned(sc.cc, seg)
 	if errors.Is(err, core.ErrIngressFull) {
-		ss.stash, ss.stashConn = seg, sc
+		// The harvest stops here; whatever it left unread needs the full
+		// wait on sockEp once the stash has gone.
+		ss.stash, ss.stashConn, ss.more = seg, sc, true
 		return false
 	}
 	ss.stash, ss.stashConn = nil, nil

@@ -25,6 +25,6 @@ func sysWriteWait(rc syscall.RawConn, buf []byte) (int, error) {
 
 // sysWriteStep is unreachable off Linux: connections never carry a raw
 // fd there, so writeStep always takes the portable path.
-func sysWriteStep(rc syscall.RawConn, buf []byte) (int, bool, error) {
+func sysWriteStep(sc *serverConn, buf []byte) (int, bool, error) {
 	panic("tcpnet: sysWriteStep without platform poller")
 }

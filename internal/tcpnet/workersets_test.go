@@ -326,3 +326,49 @@ func TestRawWaitWakesAndHarvests(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestOwnerClaimsWake checks that a request arriving while every worker
+// is parked costs one park, not two: the owner's wait set holds its
+// sockets with EPOLLEXCLUSIVE ahead of the watching neighbour's, so the
+// kernel wakes the owner alone, and the neighbour sleeps on.
+func TestOwnerClaimsWake(t *testing.T) {
+	awaitRawMode(t)
+	rt, err := core.New(core.Config{
+		Cores:        2,
+		ParkInterval: time.Hour,
+		Handler: core.HandlerFunc(func(ctx *core.Ctx, c *core.Conn, m proto.Message) {
+			ctx.Reply(m.Payload)
+		}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	srv := NewServer(rt)
+	defer srv.Close()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l)
+
+	c := dialRaw(t, l.Addr().String())
+	for i := 0; i < 20; i++ {
+		if _, err := c.call("warm"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const requests = 300
+	before := rt.Stats().Parks
+	for i := 0; i < requests; i++ {
+		time.Sleep(time.Millisecond)
+		if _, err := c.call("ping"); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	per := float64(rt.Stats().Parks-before) / requests
+	t.Logf("%.3f parks per request", per)
+	if per > 1.1 {
+		t.Fatalf("%.3f parks per request with every worker asleep at each arrival; want at most 1.1 (the owner alone wakes)", per)
+	}
+}
