@@ -6,7 +6,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: all build loc test vet chaos-soak bench bench-sched bench-conn bench-cluster bench-cluster-gate bench-slo bench-slo-gate bench-pubsub bench-pubsub-gate bench-smoke bench-e2e-smoke bench-gate bench-pair
+.PHONY: all build loc test vet flake chaos-soak bench bench-sched bench-conn bench-cluster bench-cluster-gate bench-slo bench-slo-gate bench-pubsub bench-pubsub-gate bench-smoke bench-e2e-smoke bench-gate bench-pair
 
 all: build test
 
@@ -32,6 +32,13 @@ test: vet
 
 vet:
 	$(GO) vet ./...
+
+# Flake check: the chaos soaks and the connection-churn leak test five
+# times over, then the churn test on its own, where its process-global
+# bufpool accounting sees only its own checkouts.
+flake:
+	$(GO) test -count=5 -run 'TestChaos|TestConnChurn' .
+	$(GO) test -count=1 -run '^TestConnChurnNoLeaks$$' .
 
 # Long chaos soak: the seeded fault-injection scenarios (TestChaos* in
 # the root package) under the race detector with a wide seed matrix.

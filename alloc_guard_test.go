@@ -145,8 +145,8 @@ func TestAllocsTCPEchoRoundTrip(t *testing.T) {
 // allocation-free when the destination buffer is reused.
 func TestAllocsReplyEncodeV2(t *testing.T) {
 	payload := []byte("0123456789abcdef0123456789abcdef")
-	m := proto.Message{ID: 42, Payload: payload, Status: proto.StatusOK, V2: true}
-	buf := make([]byte, 0, proto.FrameSizeV2(len(payload)))
+	m := proto.Message{ID: 42, Payload: payload, Status: proto.StatusOK, Ver: 2}
+	buf := make([]byte, 0, proto.FrameSizeMsg(m))
 	allocs := testing.AllocsPerRun(5000, func() {
 		buf = proto.AppendMessage(buf[:0], m)
 	})
@@ -158,7 +158,7 @@ func TestAllocsReplyEncodeV2(t *testing.T) {
 // The v3 reply encode (method-carrying frames) holds the same bar.
 func TestAllocsReplyEncodeV3(t *testing.T) {
 	payload := []byte("0123456789abcdef0123456789abcdef")
-	m := proto.Message{ID: 42, Method: 7, Payload: payload, Status: proto.StatusOK, V3: true}
+	m := proto.Message{ID: 42, Method: 7, Payload: payload, Status: proto.StatusOK, Ver: 3}
 	buf := make([]byte, 0, proto.FrameSizeV3(len(payload)))
 	allocs := testing.AllocsPerRun(5000, func() {
 		buf = proto.AppendMessage(buf[:0], m)

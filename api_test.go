@@ -431,7 +431,7 @@ func TestOversizedPayloadRejected(t *testing.T) {
 	}
 	s := newEchoServer(t, Config{Cores: 1, Handler: func(w ResponseWriter, req *Request) {
 		if bytes.Equal(req.Payload, []byte("grow")) {
-			w.Reply(make([]byte, 1<<24)) // one byte past MaxPayloadV2
+			w.Reply(make([]byte, 1<<24)) // one byte past MaxPayload
 			return
 		}
 		w.Reply(req.Payload)

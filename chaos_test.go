@@ -163,19 +163,21 @@ func TestChaosClusterFaultyBackends(t *testing.T) {
 			endOutstanding = append(endOutstanding, bufpool.Outstanding())
 		})
 	}
-	// Bounded accounting: identical workloads per seed mean the event
-	// pool's high-water is set by the early seeds; a per-op leak would
-	// keep climbing seed over seed. (Skipped under -race: sync.Pool
-	// drops Puts there, so checkouts read as lost forever.)
-	if !raceEnabled && len(endOutstanding) >= 3 {
-		allow := endOutstanding[0]
-		if endOutstanding[1] > allow {
-			allow = endOutstanding[1]
-		}
-		allow += 64
-		if last := endOutstanding[len(endOutstanding)-1]; last > allow {
-			t.Fatalf("bufpool checkouts grew across seeds: %v (allowance %d)", endOutstanding, allow)
-		}
+	assertNoPoolGrowth(t, endOutstanding)
+}
+
+// assertNoPoolGrowth is the cross-seed leak bound of the chaos soaks:
+// identical workloads per seed mean the event pool's high-water is set
+// by the first two seeds, so a per-op leak shows as the last seed's
+// post-teardown bufpool checkouts climbing past it.
+func assertNoPoolGrowth(t *testing.T, endOutstanding []int64) {
+	t.Helper()
+	if len(endOutstanding) < 3 {
+		return
+	}
+	allow := max(endOutstanding[0], endOutstanding[1]) + 64
+	if last := endOutstanding[len(endOutstanding)-1]; last > allow {
+		t.Fatalf("bufpool checkouts grew across seeds: %v (allowance %d)", endOutstanding, allow)
 	}
 }
 
@@ -542,18 +544,7 @@ func TestChaosOverloadSoak(t *testing.T) {
 			endOutstanding = append(endOutstanding, bufpool.Outstanding())
 		})
 	}
-	// Same cross-seed bound as the faulty-backend soak: the pool
-	// high-water is set early; growth seed over seed is a leak.
-	if !raceEnabled && len(endOutstanding) >= 3 {
-		allow := endOutstanding[0]
-		if endOutstanding[1] > allow {
-			allow = endOutstanding[1]
-		}
-		allow += 64
-		if last := endOutstanding[len(endOutstanding)-1]; last > allow {
-			t.Fatalf("bufpool checkouts grew across seeds: %v (allowance %d)", endOutstanding, allow)
-		}
-	}
+	assertNoPoolGrowth(t, endOutstanding)
 }
 
 // TestChaosSlowSubscriberSoak aims the streaming tier's worst case at a
@@ -713,14 +704,5 @@ func TestChaosSlowSubscriberSoak(t *testing.T) {
 			}
 		})
 	}
-	if !raceEnabled && len(endOutstanding) >= 3 {
-		allow := endOutstanding[0]
-		if endOutstanding[1] > allow {
-			allow = endOutstanding[1]
-		}
-		allow += 64
-		if last := endOutstanding[len(endOutstanding)-1]; last > allow {
-			t.Fatalf("bufpool checkouts grew across seeds: %v (allowance %d)", endOutstanding, allow)
-		}
-	}
+	assertNoPoolGrowth(t, endOutstanding)
 }

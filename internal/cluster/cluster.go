@@ -218,15 +218,10 @@ func NewBalancer(policy Policy, depthTTL time.Duration) *Balancer {
 }
 
 // rand is a lock-free splitmix64 step: an atomic add of the golden
-// gamma followed by a stateless mix, so concurrent pickers never
-// contend on a mutex for randomness.
+// gamma followed by the stateless mix64 finalizer, so concurrent
+// pickers never contend on a mutex for randomness.
 func (bl *Balancer) rand() uint64 {
-	x := bl.rng.Add(0x9E3779B97F4A7C15)
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	return x ^ (x >> 31)
+	return mix64(bl.rng.Add(0x9E3779B97F4A7C15))
 }
 
 func excluded(b *Backend, exclude []*Backend) bool {
@@ -912,7 +907,7 @@ func (c *Cluster) Do(call proto.Call) error {
 	if call.Kind != 0 {
 		return ErrNoSubscriptions
 	}
-	if len(call.Payload) > proto.MaxPayloadV2 {
+	if len(call.Payload) > proto.MaxPayload {
 		return proto.ErrPayloadTooLarge
 	}
 	if err := c.admit(); err != nil {

@@ -420,11 +420,7 @@ func (x *Ctx) complete(status uint8, payload []byte) error {
 		// A reply that cannot be represented in the frame's length field
 		// would corrupt the whole connection; degrade it to a wire error
 		// the client can at least diagnose.
-		limit := proto.MaxPayload
-		if x.ev.msg.V2 || x.ev.msg.V3 || x.ev.msg.V4 {
-			limit = proto.MaxPayloadV2
-		}
-		if len(payload) > limit {
+		if len(payload) > proto.MaxPayload {
 			status = proto.StatusInternal
 			payload = []byte(proto.ErrPayloadTooLarge.Error())
 		}
@@ -432,17 +428,16 @@ func (x *Ctx) complete(status uint8, payload []byte) error {
 		// method, so a client can attribute replies per operation without
 		// tracking IDs. v4 control frames (SUBSCRIBE/UNSUBSCRIBE) get
 		// their kind and subscription ID echoed the same way.
-		frames = proto.AppendMessage(bufpool.Get(proto.FrameSizeV4(len(payload))), proto.Message{
+		reply := proto.Message{
 			ID:      x.ev.msg.ID,
 			Payload: payload,
 			Status:  status,
 			Method:  x.ev.msg.Method,
-			V2:      x.ev.msg.V2,
-			V3:      x.ev.msg.V3,
-			V4:      x.ev.msg.V4,
+			Ver:     x.ev.msg.Ver,
 			Kind:    x.ev.msg.Kind,
 			SubID:   x.ev.msg.SubID,
-		})
+		}
+		frames = proto.AppendMessage(bufpool.Get(proto.FrameSizeMsg(reply)), reply)
 	}
 	if !detached {
 		x.frames = frames

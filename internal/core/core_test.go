@@ -47,7 +47,7 @@ func echoHandler() Handler {
 }
 
 func frame(id uint64, payload string) []byte {
-	return proto.AppendFrame(nil, proto.Message{ID: id, Payload: []byte(payload)})
+	return proto.AppendMessage(nil, proto.Message{ID: id, Payload: []byte(payload)})
 }
 
 func newTestRuntime(t *testing.T, cfg Config) *Runtime {
@@ -98,7 +98,7 @@ func TestPerConnectionOrdering(t *testing.T) {
 	const n = 500
 	var stream []byte
 	for i := uint64(0); i < n; i++ {
-		stream = proto.AppendFrame(stream, proto.Message{ID: i})
+		stream = proto.AppendMessage(stream, proto.Message{ID: i})
 	}
 	// Feed in awkward chunks to exercise the parser under pipelining.
 	for off := 0; off < len(stream); {
@@ -491,7 +491,7 @@ func TestStress(t *testing.T) {
 			defer wg.Done()
 			var buf []byte
 			for k := 0; k < per; k++ {
-				buf = proto.AppendFrame(buf[:0], proto.Message{ID: uint64(k)})
+				buf = proto.AppendMessage(buf[:0], proto.Message{ID: uint64(k)})
 				if err := rt.Ingress(c, buf); err != nil {
 					t.Error(err)
 					return

@@ -12,7 +12,7 @@ import (
 
 // v2frame builds a v2 request frame.
 func v2frame(id uint64, payload string) []byte {
-	return proto.AppendFrameV2(nil, proto.Message{ID: id, Payload: []byte(payload), V2: true})
+	return proto.AppendMessage(nil, proto.Message{Ver: 2, ID: id, Payload: []byte(payload)})
 }
 
 // Detached completions resolved out of order must still be transmitted
@@ -36,7 +36,7 @@ func TestDetachReplyOrdering(t *testing.T) {
 	c := rt.NewConn(wr)
 	var stream []byte
 	for i := uint64(0); i < n; i++ {
-		stream = proto.AppendFrameV2(stream, proto.Message{ID: i, Payload: []byte{byte(i)}, V2: true})
+		stream = proto.AppendMessage(stream, proto.Message{Ver: 2, ID: i, Payload: []byte{byte(i)}})
 	}
 	if err := rt.Ingress(c, stream); err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestDetachReplyOrdering(t *testing.T) {
 		if m.ID != uint64(i) {
 			t.Fatalf("reply %d has ID %d: detached replies reordered", i, m.ID)
 		}
-		if !m.V2 {
+		if m.Ver != 2 {
 			t.Fatalf("reply %d not v2-framed for a v2 request", i)
 		}
 	}
@@ -195,8 +195,8 @@ func TestOneWayAdvancesSequencer(t *testing.T) {
 	wr := &captureWriter{}
 	c := rt.NewConn(wr)
 	var stream []byte
-	stream = proto.AppendFrameV2(stream, proto.Message{ID: 1, Flags: proto.FlagOneWay, Payload: []byte("fire-and-forget"), V2: true})
-	stream = proto.AppendFrameV2(stream, proto.Message{ID: 2, Payload: []byte("normal"), V2: true})
+	stream = proto.AppendMessage(stream, proto.Message{Ver: 2, ID: 1, Flags: proto.FlagOneWay, Payload: []byte("fire-and-forget")})
+	stream = proto.AppendMessage(stream, proto.Message{Ver: 2, ID: 2, Payload: []byte("normal")})
 	if err := rt.Ingress(c, stream); err != nil {
 		t.Fatal(err)
 	}
@@ -223,9 +223,9 @@ func TestReplyVersionMirrorsRequest(t *testing.T) {
 	wr := &captureWriter{}
 	c := rt.NewConn(wr)
 	var stream []byte
-	stream = proto.AppendFrame(stream, proto.Message{ID: 1, Payload: []byte("v1-ok")})
-	stream = proto.AppendFrameV2(stream, proto.Message{ID: 2, Payload: []byte("fail"), V2: true})
-	stream = proto.AppendFrame(stream, proto.Message{ID: 3, Payload: []byte("fail")})
+	stream = proto.AppendMessage(stream, proto.Message{ID: 1, Payload: []byte("v1-ok")})
+	stream = proto.AppendMessage(stream, proto.Message{Ver: 2, ID: 2, Payload: []byte("fail")})
+	stream = proto.AppendMessage(stream, proto.Message{ID: 3, Payload: []byte("fail")})
 	if err := rt.Ingress(c, stream); err != nil {
 		t.Fatal(err)
 	}
@@ -236,15 +236,15 @@ func TestReplyVersionMirrorsRequest(t *testing.T) {
 	if len(msgs) != 3 {
 		t.Fatalf("got %d replies, want 3", len(msgs))
 	}
-	if msgs[0].V2 || msgs[0].Status != proto.StatusOK {
+	if msgs[0].Ver != 0 || msgs[0].Status != proto.StatusOK {
 		t.Fatalf("v1 request must get a v1 reply: %+v", msgs[0])
 	}
-	if !msgs[1].V2 || msgs[1].Status != proto.StatusAppError || string(msgs[1].Payload) != "nope" {
+	if msgs[1].Ver != 2 || msgs[1].Status != proto.StatusAppError || string(msgs[1].Payload) != "nope" {
 		t.Fatalf("v2 error reply wrong: %+v", msgs[1])
 	}
 	// A v1 peer has no status channel: the error arrives as a plain v1
 	// reply whose payload is the message.
-	if msgs[2].V2 || string(msgs[2].Payload) != "nope" {
+	if msgs[2].Ver != 0 || string(msgs[2].Payload) != "nope" {
 		t.Fatalf("v1 error fallback wrong: %+v", msgs[2])
 	}
 }
@@ -275,7 +275,7 @@ func TestDetachStress(t *testing.T) {
 			for k := uint64(0); k < per; k++ {
 				var p [8]byte
 				binary.LittleEndian.PutUint64(p[:], k)
-				if err := rt.Ingress(c, proto.AppendFrameV2(nil, proto.Message{ID: k, Payload: p[:], V2: true})); err != nil {
+				if err := rt.Ingress(c, proto.AppendMessage(nil, proto.Message{Ver: 2, ID: k, Payload: p[:]})); err != nil {
 					t.Error(err)
 					return
 				}
@@ -347,7 +347,7 @@ func TestBacklogDrainsToZero(t *testing.T) {
 	const n = 60
 	var stream []byte
 	for i := uint64(0); i < n; i++ {
-		stream = proto.AppendFrameV2(stream, proto.Message{ID: i, Payload: []byte{1}, V2: true})
+		stream = proto.AppendMessage(stream, proto.Message{Ver: 2, ID: i, Payload: []byte{1}})
 	}
 	if err := rt.Ingress(c, stream); err != nil {
 		t.Fatal(err)

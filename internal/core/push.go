@@ -101,7 +101,7 @@ func (s *PushSub) Queued() int {
 // false if the frame was not queued (closed subscription, dropped
 // frame under disconnect policy).
 func (s *PushSub) Push(frameID uint32, payload []byte) bool {
-	if len(payload) > proto.MaxPayloadV2 {
+	if len(payload) > proto.MaxPayload {
 		// Unrepresentable in the v4 length field; count as a drop rather
 		// than corrupt the stream.
 		s.mu.Lock()
@@ -110,13 +110,15 @@ func (s *PushSub) Push(frameID uint32, payload []byte) bool {
 		s.conn.rt.pushDropped.Add(1)
 		return false
 	}
-	frame := proto.AppendFrameV4(bufpool.Get(proto.FrameSizeV4(len(payload))), proto.Message{
+	m := proto.Message{
 		ID:      uint64(frameID),
+		Ver:     4,
 		Method:  s.topic,
 		SubID:   s.id,
 		Kind:    proto.KindPush,
 		Payload: payload,
-	})
+	}
+	frame := proto.AppendMessage(bufpool.Get(proto.FrameSizeMsg(m)), m)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()

@@ -58,7 +58,7 @@ func TestShutdownReleasesQueuedBuffers(t *testing.T) {
 				// blocked inside IngressOwned (ring full, producer parked)
 				// when Close lands.
 				for i := uint64(0); ; i++ {
-					enc = proto.AppendFrameV2(enc[:0], proto.Message{ID: i, Payload: []byte("x"), V2: true})
+					enc = proto.AppendMessage(enc[:0], proto.Message{Ver: 2, ID: i, Payload: []byte("x")})
 					seg := append(rt.GetSegment(len(enc)), enc...)
 					if err := rt.IngressOwned(c, seg); err != nil {
 						// Only the close error is acceptable.
@@ -127,11 +127,6 @@ func TestShutdownCycleDoesNotAccumulateBuffers(t *testing.T) {
 		}
 	}
 	cycle() // warm pools and lazily created scratch
-	if raceEnabled {
-		// The segment assertion above still ran; the process-wide balance
-		// below is meaningless when sync.Pool drops Puts (race mode).
-		t.Skip("sync.Pool drops Puts under -race, stranding parse-buffer accounting")
-	}
 	base := bufpool.Outstanding()
 	const cycles = 3
 	for i := 0; i < cycles; i++ {

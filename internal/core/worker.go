@@ -279,7 +279,7 @@ func (w *Worker) kernelStep() bool {
 				if !ok {
 					break
 				}
-				if m.V3 && !c.sawV3.Load() {
+				if m.Ver == 3 && !c.sawV3.Load() {
 					// The peer speaks v3: it may now be sent piggybacked
 					// health frames. Check-then-set keeps the steady state
 					// a read, not a contended store per frame.

@@ -16,14 +16,14 @@ func TestIssueMapsCalls(t *testing.T) {
 		call Call
 		want Message
 	}{
-		{"legacy is v2 on method 0", Call{Legacy: true, Method: 9, Done: cb}, Message{V2: true}},
-		{"method is v3", Call{Method: 9, Done: cb}, Message{V3: true, Method: 9}},
-		{"budget is stamped", Call{Method: 9, Budget: 3 * time.Millisecond, Done: cb}, Message{V3: true, Method: 9, Budget: 3000}},
-		{"legacy budget is stamped", Call{Legacy: true, Budget: time.Millisecond, Done: cb}, Message{V2: true, Budget: 1000}},
-		{"negative budget is none", Call{Method: 9, Budget: -1, Done: cb}, Message{V3: true, Method: 9}},
-		{"one-way", Call{Method: 9, OneWay: true}, Message{V3: true, Method: 9, Flags: FlagOneWay}},
+		{"legacy is v2 on method 0", Call{Legacy: true, Method: 9, Done: cb}, Message{Ver: 2}},
+		{"method is v3", Call{Method: 9, Done: cb}, Message{Ver: 3, Method: 9}},
+		{"budget is stamped", Call{Method: 9, Budget: 3 * time.Millisecond, Done: cb}, Message{Ver: 3, Method: 9, Budget: 3000}},
+		{"legacy budget is stamped", Call{Legacy: true, Budget: time.Millisecond, Done: cb}, Message{Ver: 2, Budget: 1000}},
+		{"negative budget is none", Call{Method: 9, Budget: -1, Done: cb}, Message{Ver: 3, Method: 9}},
+		{"one-way", Call{Method: 9, OneWay: true}, Message{Ver: 3, Method: 9, Flags: FlagOneWay}},
 		{"subscribe is v4", Call{Kind: KindSubscribe, Method: 7, SubID: 5, Done: cb, Push: func(uint32, []byte) {}},
-			Message{V4: true, Kind: KindSubscribe, Method: 7, SubID: 5}},
+			Message{Ver: 4, Kind: KindSubscribe, Method: 7, SubID: 5}},
 	}
 	for _, tc := range cases {
 		m, err := d.Issue(tc.call)
@@ -34,12 +34,12 @@ func TestIssueMapsCalls(t *testing.T) {
 			t.Fatalf("%s: ID %d (one-way calls register nothing, others do)", tc.name, m.ID)
 		}
 		m.ID = 0
-		if m.V2 != tc.want.V2 || m.V3 != tc.want.V3 || m.V4 != tc.want.V4 || m.Method != tc.want.Method ||
+		if m.Ver != tc.want.Ver || m.Method != tc.want.Method ||
 			m.Flags != tc.want.Flags || m.Budget != tc.want.Budget || m.Kind != tc.want.Kind || m.SubID != tc.want.SubID {
 			t.Fatalf("%s: got %+v, want %+v", tc.name, m, tc.want)
 		}
 	}
-	if _, err := d.Issue(Call{Payload: make([]byte, MaxPayloadV2+1), Done: cb}); !errors.Is(err, ErrPayloadTooLarge) {
+	if _, err := d.Issue(Call{Payload: make([]byte, MaxPayload+1), Done: cb}); !errors.Is(err, ErrPayloadTooLarge) {
 		t.Fatalf("oversized payload: %v", err)
 	}
 	d.Close()
@@ -86,8 +86,8 @@ func TestIssueRefusedSubscribeDropsHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nack := AppendFrameV4(nil, Message{ID: m.ID, Kind: KindSubscribe, Method: 7, SubID: 3, Status: StatusAppError})
-	push := AppendFrameV4(nil, Message{ID: 1, Kind: KindPush, Method: 7, SubID: 3, Payload: []byte("p")})
+	nack := AppendMessage(nil, Message{Ver: 4, ID: m.ID, Kind: KindSubscribe, Method: 7, SubID: 3, Status: StatusAppError})
+	push := AppendMessage(nil, Message{Ver: 4, ID: 1, Kind: KindPush, Method: 7, SubID: 3, Payload: []byte("p")})
 	if err := d.Feed(nack); err != nil {
 		t.Fatal(err)
 	}

@@ -89,17 +89,17 @@ func (d *Dispatcher) registerLocked(cb func(resp []byte, err error)) uint64 {
 // it). The transport encodes and writes the returned message; if the
 // write fails it reports through Fail.
 func (d *Dispatcher) Issue(c Call) (Message, error) {
-	if len(c.Payload) > MaxPayloadV2 {
+	if len(c.Payload) > MaxPayload {
 		return Message{}, ErrPayloadTooLarge
 	}
 	m := Message{Method: c.Method, Payload: c.Payload, Budget: BudgetMicros(c.Budget)}
 	switch {
 	case c.Kind != 0:
-		m.V4, m.Kind, m.SubID = true, c.Kind, c.SubID
+		m.Ver, m.Kind, m.SubID = 4, c.Kind, c.SubID
 	case c.Legacy:
-		m.Method, m.V2 = 0, true
+		m.Method, m.Ver = 0, 2
 	default:
-		m.V3 = true
+		m.Ver = 3
 	}
 	d.mu.Lock()
 	if d.closed {
@@ -204,7 +204,7 @@ func (d *Dispatcher) Feed(data []byte) error {
 		if !ok {
 			break
 		}
-		if m.V3 && m.Method == MethodHealth && m.ID == 0 {
+		if m.Ver == 3 && m.Method == MethodHealth && m.ID == 0 {
 			// Piggybacked health frame: not a reply, never registered.
 			// Keep only the newest depth in this batch.
 			if dv, hok := DecodeHealthPayload(m.Payload); hok {
@@ -213,7 +213,7 @@ func (d *Dispatcher) Feed(data []byte) error {
 			m.Release()
 			continue
 		}
-		if m.V4 && m.Kind == KindPush {
+		if m.Ver == 4 && m.Kind == KindPush {
 			// Server-initiated push: demultiplex by subscription ID, not
 			// request ID (the v4 ID field carries the published frame's
 			// identifier instead).

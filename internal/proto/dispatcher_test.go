@@ -19,7 +19,7 @@ func TestDispatcherRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Feed(AppendFrame(nil, Message{ID: id, Payload: []byte("pong")})); err != nil {
+	if err := d.Feed(AppendMessage(nil, Message{ID: id, Payload: []byte("pong")})); err != nil {
 		t.Fatal(err)
 	}
 	if r := <-got; r != "pong" {
@@ -38,7 +38,7 @@ func TestDispatcherStatusError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := AppendFrameV2(nil, Message{ID: id, Status: StatusShed, Payload: []byte("busy"), V2: true})
+	frame := AppendMessage(nil, Message{Ver: 2, ID: id, Status: StatusShed, Payload: []byte("busy")})
 	if err := d.Feed(frame); err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestDispatcherStatusError(t *testing.T) {
 
 func TestDispatcherUnknownIDDropped(t *testing.T) {
 	d := NewDispatcher()
-	if err := d.Feed(AppendFrame(nil, Message{ID: 999, Payload: []byte("late")})); err != nil {
+	if err := d.Feed(AppendMessage(nil, Message{ID: 999, Payload: []byte("late")})); err != nil {
 		t.Fatal(err)
 	}
 	if d.Pending() != 0 {
@@ -82,7 +82,7 @@ func TestDispatcherPartialFrames(t *testing.T) {
 	d := NewDispatcher()
 	got := make(chan string, 1)
 	id, _ := d.Register(func(resp []byte, err error) { got <- string(resp) })
-	frame := AppendFrame(nil, Message{ID: id, Payload: []byte("split")})
+	frame := AppendMessage(nil, Message{ID: id, Payload: []byte("split")})
 	for _, b := range frame {
 		if err := d.Feed([]byte{b}); err != nil {
 			t.Fatal(err)
@@ -113,7 +113,7 @@ func TestDispatcherReentrantCallback(t *testing.T) {
 		}
 		close(done)
 	})
-	if err := d.Feed(AppendFrame(nil, Message{ID: id1})); err != nil {
+	if err := d.Feed(AppendMessage(nil, Message{ID: id1})); err != nil {
 		t.Fatal(err)
 	}
 	<-done
@@ -146,7 +146,7 @@ func TestDispatcherConcurrent(t *testing.T) {
 		go func() {
 			defer feeders.Done()
 			for id := range ids {
-				if err := d.Feed(AppendFrame(nil, Message{ID: id})); err != nil {
+				if err := d.Feed(AppendMessage(nil, Message{ID: id})); err != nil {
 					t.Error(err)
 					return
 				}

@@ -17,7 +17,7 @@ func TestParserPipelinedBurstSteadyStateAllocs(t *testing.T) {
 	}
 	var stream []byte
 	for i := 0; i < 64; i++ {
-		stream = AppendFrameV2(stream, Message{ID: uint64(i), Payload: bytes.Repeat([]byte{byte(i)}, 32), V2: true})
+		stream = AppendMessage(stream, Message{Ver: 2, ID: uint64(i), Payload: bytes.Repeat([]byte{byte(i)}, 32)})
 	}
 	var p Parser
 	cycle := func() {
@@ -51,7 +51,7 @@ func TestParserPipelinedBurstSteadyStateAllocs(t *testing.T) {
 // neither move nor overwrite it.
 func TestUnreleasedPayloadStableAcrossFeeds(t *testing.T) {
 	var p Parser
-	p.Feed(AppendFrame(nil, Message{ID: 1, Payload: []byte("keep-me-around")}))
+	p.Feed(AppendMessage(nil, Message{ID: 1, Payload: []byte("keep-me-around")}))
 	m, ok, err := p.Next()
 	if !ok || err != nil {
 		t.Fatalf("Next: %v %v", ok, err)
@@ -59,7 +59,7 @@ func TestUnreleasedPayloadStableAcrossFeeds(t *testing.T) {
 	// Hammer the parser with enough traffic to recycle pooled buffers
 	// many times over.
 	for i := 0; i < 100; i++ {
-		p.Feed(AppendFrame(nil, Message{ID: uint64(i), Payload: bytes.Repeat([]byte{0xee}, 512)}))
+		p.Feed(AppendMessage(nil, Message{ID: uint64(i), Payload: bytes.Repeat([]byte{0xee}, 512)}))
 		n, ok2, err2 := p.Next()
 		if !ok2 || err2 != nil {
 			t.Fatalf("feed %d: %v %v", i, ok2, err2)
@@ -78,7 +78,7 @@ func TestReleaseAccounting(t *testing.T) {
 	var p Parser
 	var stream []byte
 	for i := 0; i < 3; i++ {
-		stream = AppendFrame(stream, Message{ID: uint64(i), Payload: []byte{byte(i)}})
+		stream = AppendMessage(stream, Message{ID: uint64(i), Payload: []byte{byte(i)}})
 	}
 	p.Feed(stream)
 	var msgs []Message
@@ -105,12 +105,12 @@ func TestReleaseAccounting(t *testing.T) {
 // while a previous payload is unreleased.
 func TestSplitFeedWithPinnedPayload(t *testing.T) {
 	var p Parser
-	p.Feed(AppendFrame(nil, Message{ID: 1, Payload: []byte("pinned")}))
+	p.Feed(AppendMessage(nil, Message{ID: 1, Payload: []byte("pinned")}))
 	pinned, ok, _ := p.Next()
 	if !ok {
 		t.Fatal("missing first message")
 	}
-	big := AppendFrameV2(nil, Message{ID: 2, Payload: bytes.Repeat([]byte{7}, 4096), V2: true})
+	big := AppendMessage(nil, Message{Ver: 2, ID: 2, Payload: bytes.Repeat([]byte{7}, 4096)})
 	for off := 0; off < len(big); off += 13 {
 		end := off + 13
 		if end > len(big) {
@@ -150,13 +150,13 @@ func TestReleaseBufferKeepsErrorSticky(t *testing.T) {
 	}
 	// A perfectly valid frame arriving after the poison point must not
 	// resurrect the stream.
-	p.Feed(AppendFrame(nil, Message{ID: 9, Payload: []byte("smuggled")}))
+	p.Feed(AppendMessage(nil, Message{ID: 9, Payload: []byte("smuggled")}))
 	if m, ok, err := p.Next(); err == nil || ok {
 		t.Fatalf("poisoned parser accepted a frame: %+v ok=%v err=%v", m, ok, err)
 	}
 	// Reset still clears the error for deliberate reuse.
 	p.Reset()
-	p.Feed(AppendFrame(nil, Message{ID: 1}))
+	p.Feed(AppendMessage(nil, Message{ID: 1}))
 	if _, ok, err := p.Next(); !ok || err != nil {
 		t.Fatal("parser must recover after Reset")
 	}
@@ -165,11 +165,11 @@ func TestReleaseBufferKeepsErrorSticky(t *testing.T) {
 // The v2 reply encode path into a reused buffer must be allocation-free.
 func TestAppendFrameV2NoAllocs(t *testing.T) {
 	payload := bytes.Repeat([]byte{1}, 64)
-	buf := make([]byte, 0, FrameSizeV2(len(payload)))
+	buf := make([]byte, 0, HeaderSizeV2+len(payload))
 	allocs := testing.AllocsPerRun(1000, func() {
-		buf = AppendFrameV2(buf[:0], Message{ID: 7, Payload: payload, V2: true})
+		buf = AppendMessage(buf[:0], Message{Ver: 2, ID: 7, Payload: payload})
 	})
 	if allocs != 0 {
-		t.Fatalf("AppendFrameV2 into reused buffer allocates %.2f/op", allocs)
+		t.Fatalf("v2 AppendMessage into reused buffer allocates %.2f/op", allocs)
 	}
 }

@@ -1,42 +1,40 @@
 // Package proto implements the wire framing used by the runtime's RPC
-// transports. Four frame versions coexist on the same stream:
+// transports. Four frame versions coexist on the same stream; one
+// encoder (AppendMessage) writes them all and one Parser reads them all.
+// All integers are little-endian:
 //
-//   - v1 (legacy): a fixed 12-byte header — 4-byte little-endian payload
-//     length, 8-byte request identifier — followed by the payload.
-//   - v2: a fixed 14-byte header — 24-bit little-endian payload length,
-//     a magic version byte, a flags byte, a status byte, and the 8-byte
-//     request identifier — followed by the payload. The flags byte
-//     carries one-way markers; the status byte carries wire-level error
-//     codes, so a reply can be an error distinguishable from a payload.
-//   - v3: a fixed 16-byte header — the v2 header with a 16-bit
-//     little-endian method identifier inserted before the request ID.
-//     The method names the operation (GET vs SET, NewOrder vs Payment)
-//     at the wire layer, so servers route without inspecting payloads
-//     and per-operation tail latency is observable per frame.
-//   - v4: a fixed 21-byte header carrying the streaming/pub-sub frame
-//     pair — SUBSCRIBE/UNSUBSCRIBE requests and server-initiated PUSH
-//     frames. After the 24-bit length and Magic4 come a kind byte
-//     (KindSubscribe/KindUnsubscribe/KindPush), the v2 flags and status
-//     bytes, the 16-bit topic (reusing the v3 method space), a 32-bit
-//     subscription identifier, and the 8-byte request identifier (which
-//     a PUSH frame repurposes as the published frame's 32-bit ID). v4
-//     frames never carry the deadline extension.
+//	v1  [len:4][id:8]                                                12 bytes
+//	v2  [len:3][0xA2][flags][status][id:8]                 [budget:4] 14 bytes
+//	v3  [len:3][0xA3][flags][status][method:2][id:8]       [budget:4] 16 bytes
+//	v4  [len:3][0xA4][kind][flags][status][method:2][subID:4][id:8]   21 bytes
+//
+// The length counts payload bytes only, and the payload follows the
+// header. v1 is the legacy frame. v2 adds a flags byte (one-way
+// markers) and a status byte (wire-level error codes, so a reply can be
+// an error distinguishable from a payload). v3 adds the method, which
+// names the operation (GET vs SET, NewOrder vs Payment) so servers route
+// without inspecting payloads. v4 carries the streaming/pub-sub pair —
+// SUBSCRIBE/UNSUBSCRIBE requests and server-initiated PUSH frames — with
+// a kind byte, the topic in the method field and a subscription ID; a
+// PUSH repurposes the request ID as the published frame's 32-bit ID. A
+// v2 or v3 frame with FlagDeadline set carries the 4-byte deadline
+// extension between header and payload; v4 never does.
 //
 // The versions are distinguished by the fourth header byte: it is the
 // most significant byte of the v1 length word, which any in-range v1
-// frame leaves at 0x00 or 0x01, while every v2 frame sets it to Magic2,
-// every v3 frame to Magic3, and every v4 frame to Magic4. A v1 peer
-// therefore keeps round-tripping against a v2/v3/v4 server unchanged
-// (though without a status channel its error replies degrade to plain
-// payloads), and a malformed stream is detected exactly as before.
-// Replies always mirror the request's frame version, so a peer never
-// receives a header it cannot parse — and PUSH frames only ever flow to
-// peers that sent a v4 SUBSCRIBE, proving they parse v4 headers.
+// frame leaves at 0x00, while every v2–v4 frame sets it to its magic
+// (0xA0 plus the version). A v1 peer therefore keeps round-tripping
+// against a newer server unchanged (though without a status channel its
+// error replies degrade to plain payloads), and a malformed stream is
+// detected exactly as before. Replies always mirror the request's frame
+// version, so a peer never receives a header it cannot parse — and PUSH
+// frames only ever flow to peers that sent a v4 SUBSCRIBE, proving they
+// parse v4 headers.
 //
 // The Parser is incremental: it accepts arbitrary byte-stream fragments —
 // including fragments that split a header or pipeline several back-to-back
 // requests, the case §4.3 of the paper is about — and yields complete
-// messages of either version in order.
+// messages of any version in order.
 //
 // # Buffer ownership
 //
@@ -69,24 +67,25 @@ const HeaderSizeV2 = 14
 // header plus the 16-bit method identifier.
 const HeaderSizeV3 = 16
 
-// Magic2 marks a v2 frame in the fourth header byte. Interpreted as the
-// top byte of a v1 length it would announce a ~2.7 GB payload, far above
-// MaxPayload, so no valid v1 frame can alias a v2 frame.
-const Magic2 = 0xA2
-
-// Magic3 marks a v3 (method-routed) frame in the fourth header byte;
-// like Magic2 it can never alias an in-range v1 length word.
-const Magic3 = 0xA3
-
 // HeaderSizeV4 is the fixed v4 (streaming/pub-sub) frame-header length
 // in bytes: length(3) + magic + kind + flags + status + topic(2) +
 // subscription ID(4) + request/frame ID(8).
 const HeaderSizeV4 = 21
 
-// Magic4 marks a v4 (streaming/pub-sub) frame in the fourth header
-// byte; like Magic2/Magic3 it can never alias an in-range v1 length
-// word.
-const Magic4 = 0xA4
+// headerSize maps Message.Ver to the version's fixed header length
+// (index 1 is v1 too, so a hand-built Ver: 1 encodes as v1).
+var headerSize = [...]int{HeaderSize, HeaderSize, HeaderSizeV2, HeaderSizeV3, HeaderSizeV4}
+
+// Magic2, Magic3 and Magic4 mark v2, v3 and v4 frames in the fourth
+// header byte: magicBase plus the version. Interpreted as the top byte
+// of a v1 length each would announce a payload of more than 2.7 GB, far
+// above MaxPayload, so no valid v1 frame can alias a newer one.
+const (
+	magicBase = 0xA0
+	Magic2    = magicBase + 2
+	Magic3    = magicBase + 3
+	Magic4    = magicBase + 4
+)
 
 // v4 frame kinds, carried in the fifth header byte. Zero is invalid so
 // a v4 message is always distinguishable from the zero Message.
@@ -107,9 +106,10 @@ const (
 	KindPush uint8 = 3
 )
 
-// MaxPayload bounds a single v1 frame's payload to keep a malformed or
-// hostile peer from forcing unbounded buffering.
-const MaxPayload = 16 << 20
+// MaxPayload bounds a frame's payload in every version: it is the
+// largest length the 24-bit v2–v4 length field can carry, and it keeps a
+// malformed or hostile v1 peer from forcing unbounded buffering.
+const MaxPayload = 1<<24 - 1
 
 // MethodHealth is the reserved v3 method ID of piggybacked health
 // frames: a server configured for depth reporting appends one tiny
@@ -127,20 +127,16 @@ const MethodHealth uint16 = 0xFFFF
 // 32-bit little-endian queue depth.
 const HealthPayloadSize = 4
 
-// MaxPayloadV2 bounds a v2 frame's payload (the v2 length field is 24
-// bits wide).
-const MaxPayloadV2 = 1<<24 - 1
-
 // ErrFrameTooLarge is returned when a header announces a payload larger
-// than the version's maximum.
+// than MaxPayload.
 var ErrFrameTooLarge = errors.New("proto: frame exceeds maximum payload size")
 
 // ErrPayloadTooLarge is returned by senders refusing to encode a payload
-// that does not fit the frame version's length field. Encoding it anyway
-// would corrupt the stream (the v2 length field is 24 bits wide).
+// larger than MaxPayload. Encoding it anyway would corrupt the stream
+// (the v2–v4 length field is 24 bits wide).
 var ErrPayloadTooLarge = errors.New("proto: payload exceeds maximum frame size")
 
-// Frame flag bits (v2 only).
+// Frame flag bits (v2–v4; v1 has no flags byte).
 const (
 	// FlagOneWay marks a request whose sender expects no reply; the
 	// server executes it and sends nothing back.
@@ -164,7 +160,7 @@ const (
 // any microsecond-scale SLO).
 const DeadlineExtSize = 4
 
-// Wire status codes (v2 only). A v1 reply has no status channel and is
+// Wire status codes (v2–v4). A v1 reply has no status channel and is
 // always implicitly StatusOK.
 const (
 	// StatusOK is a successful reply; the payload is the response body.
@@ -247,35 +243,29 @@ func (e *StatusError) Is(target error) bool {
 type Message struct {
 	ID      uint64
 	Payload []byte
-	// Method is the v3 method identifier naming the operation the
-	// request targets; zero on v1/v2 frames (the legacy route).
+	// Ver is the frame version: the one the message arrived in (the
+	// parser sets 2, 3 or 4, and leaves 0 for v1) and the one
+	// AppendMessage encodes. Replies mirror the request's version so a
+	// legacy peer never sees a header it cannot parse. Zero means v1.
+	Ver uint8
+	// Method is the method identifier naming the operation the request
+	// targets (the topic on v4); zero on v1/v2 frames (the legacy route).
 	Method uint16
-	// Flags is the v2/v3 flags byte (FlagOneWay, ...); zero on v1 frames.
+	// Flags is the flags byte (FlagOneWay, ...); zero on v1 frames.
 	Flags uint8
-	// Status is the v2/v3 status byte; StatusOK on v1 frames.
+	// Status is the status byte; StatusOK on v1 frames.
 	Status uint8
-	// V2 records that the message arrived in a v2 frame, and selects the
-	// version AppendMessage encodes. Replies mirror the request's
-	// version so legacy peers never see a header they cannot parse.
-	V2 bool
-	// V3 records a v3 (method-carrying) frame; it takes precedence over
-	// V2 when selecting the encoding.
-	V3 bool
-	// V4 records a v4 (streaming/pub-sub) frame; it takes precedence
-	// over V3 and V2 when selecting the encoding. Kind and SubID are
-	// meaningful only when set.
-	V4 bool
 	// Kind is the v4 frame kind (KindSubscribe/KindUnsubscribe/KindPush);
-	// zero on non-v4 frames.
+	// zero on other versions.
 	Kind uint8
 	// SubID is the v4 subscription identifier: the client-chosen demux
 	// key PUSH frames are routed by, echoed on subscribe/unsubscribe
-	// acks. Zero on non-v4 frames.
+	// acks. Zero on other versions.
 	SubID uint32
 	// Budget is the request's remaining deadline budget in microseconds;
 	// zero means no deadline. A nonzero budget on a v2/v3 message makes
-	// the encoder set FlagDeadline and emit the trailing deadline
-	// extension (v1 frames have no flags byte and silently drop it).
+	// the encoder set FlagDeadline and emit the deadline extension; v1
+	// and v4 frames cannot carry it and silently drop it.
 	Budget uint32
 
 	// lease pins the parse buffer Payload points into; nil for messages
@@ -308,115 +298,92 @@ var parseBufPool = sync.Pool{New: func() any { return new(parseBuf) }}
 // caller's reference already counted.
 func newParseBuf(n int) *parseBuf {
 	pb := parseBufPool.Get().(*parseBuf)
-	if cap(pb.data) < n {
-		if pb.data != nil {
-			bufpool.Put(pb.data)
-		}
-		pb.data = bufpool.Get(n)
-	}
-	pb.data = pb.data[:0]
+	pb.data = bufpool.Get(n)
 	pb.refs.Store(1)
 	return pb
 }
 
 func (pb *parseBuf) retain() { pb.refs.Add(1) }
 
+// release drops one reference. The last one returns the block to
+// bufpool before parking the empty struct, so a sync.Pool eviction (or
+// a Put the race detector drops) loses only the struct, never a
+// checked-out block.
 func (pb *parseBuf) release() {
 	if pb.refs.Add(-1) == 0 {
-		pb.data = pb.data[:0]
+		bufpool.Put(pb.data)
+		pb.data = nil
 		parseBufPool.Put(pb)
 	}
 }
 
-// AppendFrame appends the encoded v1 frame for m to buf and returns the
-// extended slice. Flags and Status do not travel in v1.
-func AppendFrame(buf []byte, m Message) []byte {
-	var hdr [HeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(m.Payload)))
-	binary.LittleEndian.PutUint64(hdr[4:12], m.ID)
-	buf = append(buf, hdr[:]...)
-	return append(buf, m.Payload...)
-}
-
-// AppendFrameV2 appends the encoded v2 frame for m to buf and returns
-// the extended slice. The payload must not exceed MaxPayloadV2 — a
-// longer one cannot be represented in the 24-bit length field and would
-// corrupt the stream, so callers (transports, the reply path) reject it
-// with ErrPayloadTooLarge before encoding; this function panics if they
-// did not.
-func AppendFrameV2(buf []byte, m Message) []byte {
+// AppendMessage appends m encoded in the frame version m.Ver selects
+// and returns the extended slice. It is the one frame-header writer:
+// v2–v4 share the length and magic bytes, v4 inserts its kind byte
+// before flags and status, v3 and v4 carry the method, v4 the
+// subscription ID, and v2/v3 append the deadline extension exactly when
+// m.Budget is nonzero (FlagDeadline on m.Flags is ignored; the encoder
+// derives it from the budget). The payload must not exceed MaxPayload —
+// a longer one cannot be represented in the 24-bit length field and
+// would corrupt the stream, so callers (transports, the reply path)
+// reject it with ErrPayloadTooLarge before encoding; this function
+// panics if they did not.
+func AppendMessage(buf []byte, m Message) []byte {
 	n := len(m.Payload)
-	if n > MaxPayloadV2 {
-		panic("proto: AppendFrameV2 payload exceeds MaxPayloadV2")
+	if n > MaxPayload {
+		panic("proto: AppendMessage payload exceeds MaxPayload")
 	}
-	var hdr [HeaderSizeV2 + DeadlineExtSize]byte
-	hdr[0] = byte(n)
-	hdr[1] = byte(n >> 8)
-	hdr[2] = byte(n >> 16)
-	hdr[3] = Magic2
-	hdr[4] = m.Flags
-	hdr[5] = m.Status
-	binary.LittleEndian.PutUint64(hdr[6:14], m.ID)
-	h := HeaderSizeV2
-	if m.Budget != 0 {
-		hdr[4] |= FlagDeadline
-		binary.LittleEndian.PutUint32(hdr[h:h+DeadlineExtSize], m.Budget)
-		h += DeadlineExtSize
+	var hdr [HeaderSizeV4]byte // every header, deadline extension included, fits
+	h := HeaderSize
+	if m.Ver < 2 {
+		binary.LittleEndian.PutUint32(hdr[0:4], uint32(n))
+		binary.LittleEndian.PutUint64(hdr[4:12], m.ID)
+	} else {
+		hdr[0], hdr[1], hdr[2], hdr[3] = byte(n), byte(n>>8), byte(n>>16), magicBase+m.Ver
+		f := 4 // offset of the flags byte
+		if m.Ver == 4 {
+			hdr[4] = m.Kind
+			f = 5
+		}
+		hdr[f], hdr[f+1] = m.Flags&^FlagDeadline, m.Status
+		h = f + 2
+		if m.Ver >= 3 {
+			binary.LittleEndian.PutUint16(hdr[h:h+2], m.Method)
+			h += 2
+		}
+		if m.Ver == 4 {
+			binary.LittleEndian.PutUint32(hdr[h:h+4], m.SubID)
+			h += 4
+		}
+		binary.LittleEndian.PutUint64(hdr[h:h+8], m.ID)
+		h += 8
+		if m.Budget != 0 && m.Ver != 4 {
+			hdr[f] |= FlagDeadline
+			binary.LittleEndian.PutUint32(hdr[h:h+DeadlineExtSize], m.Budget)
+			h += DeadlineExtSize
+		}
 	}
 	buf = append(buf, hdr[:h]...)
 	return append(buf, m.Payload...)
 }
 
-// AppendFrameV3 appends the encoded v3 frame for m to buf and returns
-// the extended slice. The same 24-bit length bound as v2 applies; see
-// AppendFrameV2 for why exceeding it panics here.
-func AppendFrameV3(buf []byte, m Message) []byte {
-	n := len(m.Payload)
-	if n > MaxPayloadV2 {
-		panic("proto: AppendFrameV3 payload exceeds MaxPayloadV2")
-	}
-	var hdr [HeaderSizeV3 + DeadlineExtSize]byte
-	hdr[0] = byte(n)
-	hdr[1] = byte(n >> 8)
-	hdr[2] = byte(n >> 16)
-	hdr[3] = Magic3
-	hdr[4] = m.Flags
-	hdr[5] = m.Status
-	binary.LittleEndian.PutUint16(hdr[6:8], m.Method)
-	binary.LittleEndian.PutUint64(hdr[8:16], m.ID)
-	h := HeaderSizeV3
-	if m.Budget != 0 {
-		hdr[4] |= FlagDeadline
-		binary.LittleEndian.PutUint32(hdr[h:h+DeadlineExtSize], m.Budget)
-		h += DeadlineExtSize
-	}
-	buf = append(buf, hdr[:h]...)
-	return append(buf, m.Payload...)
-}
+// AppendFrameV3 is AppendMessage with m.Ver set to 3.
+func AppendFrameV3(buf []byte, m Message) []byte { m.Ver = 3; return AppendMessage(buf, m) }
 
-// AppendFrameV4 appends the encoded v4 frame for m to buf and returns
-// the extended slice. The same 24-bit length bound as v2 applies; see
-// AppendFrameV2 for why exceeding it panics here. v4 frames never carry
-// the deadline extension — a Budget on m is silently dropped (pushes
-// and subscription control have no per-request deadline semantics).
-func AppendFrameV4(buf []byte, m Message) []byte {
-	n := len(m.Payload)
-	if n > MaxPayloadV2 {
-		panic("proto: AppendFrameV4 payload exceeds MaxPayloadV2")
+// FrameSizeV3 returns the encoded size of an unbudgeted v3 frame
+// carrying n payload bytes.
+func FrameSizeV3(n int) int { return HeaderSizeV3 + n }
+
+// FrameSizeMsg returns the exact encoded size of m under AppendMessage,
+// including the deadline extension when m.Budget is set — transports
+// size pooled encode buffers with it so a budget-stamped frame never
+// reallocates out of its pool class mid-append.
+func FrameSizeMsg(m Message) int {
+	n := headerSize[m.Ver] + len(m.Payload)
+	if m.Budget != 0 && (m.Ver == 2 || m.Ver == 3) {
+		n += DeadlineExtSize
 	}
-	var hdr [HeaderSizeV4]byte
-	hdr[0] = byte(n)
-	hdr[1] = byte(n >> 8)
-	hdr[2] = byte(n >> 16)
-	hdr[3] = Magic4
-	hdr[4] = m.Kind
-	hdr[5] = m.Flags
-	hdr[6] = m.Status
-	binary.LittleEndian.PutUint16(hdr[7:9], m.Method)
-	binary.LittleEndian.PutUint32(hdr[9:13], m.SubID)
-	binary.LittleEndian.PutUint64(hdr[13:21], m.ID)
-	buf = append(buf, hdr[:]...)
-	return append(buf, m.Payload...)
+	return n
 }
 
 // AppendHealthFrame appends a piggybacked health frame carrying depth to
@@ -424,12 +391,9 @@ func AppendFrameV4(buf []byte, m Message) []byte {
 // MethodHealth route with request ID 0, which no dispatcher ever
 // allocates, so peers without a depth hook drop it for free.
 func AppendHealthFrame(buf []byte, depth uint32) []byte {
-	var hdr [HeaderSizeV3 + HealthPayloadSize]byte
-	hdr[0] = HealthPayloadSize
-	hdr[3] = Magic3
-	binary.LittleEndian.PutUint16(hdr[6:8], MethodHealth)
-	binary.LittleEndian.PutUint32(hdr[16:20], depth)
-	return append(buf, hdr[:]...)
+	var p [HealthPayloadSize]byte
+	binary.LittleEndian.PutUint32(p[:], depth)
+	return AppendMessage(buf, Message{Ver: 3, Method: MethodHealth, Payload: p[:]})
 }
 
 // DecodeHealthPayload extracts the depth from a health frame's payload;
@@ -441,61 +405,8 @@ func DecodeHealthPayload(p []byte) (depth uint32, ok bool) {
 	return binary.LittleEndian.Uint32(p), true
 }
 
-// AppendMessage encodes m in the frame version indicated by
-// m.V4/m.V3/m.V2 (newest wins; none selected means v1).
-func AppendMessage(buf []byte, m Message) []byte {
-	if m.V4 {
-		return AppendFrameV4(buf, m)
-	}
-	if m.V3 {
-		return AppendFrameV3(buf, m)
-	}
-	if m.V2 {
-		return AppendFrameV2(buf, m)
-	}
-	return AppendFrame(buf, m)
-}
-
-// FrameSize returns the encoded size of a v1 frame carrying n payload
-// bytes.
-func FrameSize(n int) int { return HeaderSize + n }
-
-// FrameSizeV2 returns the encoded size of a v2 frame carrying n payload
-// bytes.
-func FrameSizeV2(n int) int { return HeaderSizeV2 + n }
-
-// FrameSizeV3 returns the encoded size of a v3 frame carrying n payload
-// bytes.
-func FrameSizeV3(n int) int { return HeaderSizeV3 + n }
-
-// FrameSizeV4 returns the encoded size of a v4 frame carrying n payload
-// bytes.
-func FrameSizeV4(n int) int { return HeaderSizeV4 + n }
-
-// FrameSizeMsg returns the exact encoded size of m under AppendMessage,
-// including the deadline extension when m.Budget is set — transports
-// size pooled encode buffers with it so a budget-stamped frame never
-// reallocates out of its pool class mid-append.
-func FrameSizeMsg(m Message) int {
-	n := len(m.Payload)
-	switch {
-	case m.V4:
-		return HeaderSizeV4 + n // v4 never carries the deadline extension
-	case m.V3:
-		n += HeaderSizeV3
-	case m.V2:
-		n += HeaderSizeV2
-	default:
-		return HeaderSize + n // v1 cannot carry a budget
-	}
-	if m.Budget != 0 {
-		n += DeadlineExtSize
-	}
-	return n
-}
-
 // Parser incrementally decodes a frame stream carrying any mix of v1,
-// v2 and v3 frames. The zero value is ready to use.
+// v2, v3 and v4 frames. The zero value is ready to use.
 //
 // Payloads returned by Next are views into the parser's pooled buffer;
 // see the package comment for the ownership rules. The parser never
@@ -547,6 +458,10 @@ func (p *Parser) Feed(data []byte) {
 // Next returns the next complete message, if any. The returned payload
 // is a view into the parser's pooled buffer and is valid until
 // Message.Release; it returns an error if the stream is malformed.
+//
+// It is the one frame-header parser: the magic byte picks the version
+// and the header length, then a single decode reads the fields, takes
+// the payload view and consumes the frame for every version.
 func (p *Parser) Next() (Message, bool, error) {
 	if p.err != nil {
 		return Message{}, false, p.err
@@ -555,145 +470,69 @@ func (p *Parser) Next() (Message, bool, error) {
 		return Message{}, false, nil
 	}
 	buf := p.pb.data[p.start:]
-	if buf[3] == Magic2 {
-		return p.nextV2(buf)
-	}
-	if buf[3] == Magic3 {
-		return p.nextV3(buf)
-	}
-	if buf[3] == Magic4 {
-		return p.nextV4(buf)
-	}
-	n := int(binary.LittleEndian.Uint32(buf[0:4]))
-	if n > MaxPayload {
-		p.err = fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
-		return Message{}, false, p.err
-	}
-	if len(buf) < HeaderSize+n {
-		return Message{}, false, nil
-	}
-	m := Message{
-		ID:      binary.LittleEndian.Uint64(buf[4:12]),
-		Payload: p.view(buf, HeaderSize, n),
-	}
-	if m.Payload != nil {
-		m.lease = p.pb
-	}
-	p.consume(HeaderSize+n, m.Payload != nil)
-	return m, true, nil
-}
-
-// nextV2 decodes a v2 frame; the caller has verified the magic byte and
-// that at least HeaderSize bytes are buffered. buf is pb.data[start:].
-func (p *Parser) nextV2(buf []byte) (Message, bool, error) {
-	// The flags byte is within the guaranteed HeaderSize prefix, so the
-	// deadline extension's presence is decidable before the full header
-	// has arrived.
-	hdr := HeaderSizeV2
-	if buf[4]&FlagDeadline != 0 {
-		hdr += DeadlineExtSize
-	}
-	if len(buf) < hdr {
-		return Message{}, false, nil
-	}
-	n := int(buf[0]) | int(buf[1])<<8 | int(buf[2])<<16
-	if len(buf) < hdr+n {
-		return Message{}, false, nil
-	}
-	m := Message{
+	var m Message
+	var hdr, n int
+	switch buf[3] {
+	case Magic2, Magic3, Magic4:
+		m.Ver = buf[3] - magicBase
+		hdr = headerSize[m.Ver]
+		n = int(buf[0]) | int(buf[1])<<8 | int(buf[2])<<16
+		f := 4 // offset of the flags byte
+		if m.Ver == 4 {
+			m.Kind = buf[4]
+			if m.Kind < KindSubscribe || m.Kind > KindPush {
+				p.err = fmt.Errorf("proto: invalid v4 frame kind %d", m.Kind)
+				return Message{}, false, p.err
+			}
+			f = 5
+		} else if buf[4]&FlagDeadline != 0 {
+			// The flags byte lies within the guaranteed HeaderSize prefix,
+			// so the extension's presence is decidable before the full
+			// header has arrived.
+			hdr += DeadlineExtSize
+		}
+		if len(buf) < hdr+n {
+			return Message{}, false, nil
+		}
 		// FlagDeadline is framing metadata, not message state: Budget
 		// carries the value, and the encoder re-derives the flag from it,
 		// so a re-stamped forward never emits the flag without the bytes.
-		Flags:   buf[4] &^ FlagDeadline,
-		Status:  buf[5],
-		ID:      binary.LittleEndian.Uint64(buf[6:14]),
-		Payload: p.view(buf, hdr, n),
-		V2:      true,
+		m.Flags = buf[f] &^ FlagDeadline
+		m.Status = buf[f+1]
+		o := f + 2
+		if m.Ver >= 3 {
+			m.Method = binary.LittleEndian.Uint16(buf[o : o+2])
+			o += 2
+		}
+		if m.Ver == 4 {
+			m.SubID = binary.LittleEndian.Uint32(buf[o : o+4])
+			o += 4
+		}
+		m.ID = binary.LittleEndian.Uint64(buf[o : o+8])
+		if o += 8; hdr > o {
+			m.Budget = binary.LittleEndian.Uint32(buf[o : o+DeadlineExtSize])
+		}
+	default:
+		n = int(binary.LittleEndian.Uint32(buf[0:4]))
+		if n > MaxPayload {
+			p.err = fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+			return Message{}, false, p.err
+		}
+		hdr = HeaderSize
+		if len(buf) < hdr+n {
+			return Message{}, false, nil
+		}
+		m.ID = binary.LittleEndian.Uint64(buf[4:12])
 	}
-	if hdr > HeaderSizeV2 {
-		m.Budget = binary.LittleEndian.Uint32(buf[HeaderSizeV2 : HeaderSizeV2+DeadlineExtSize])
-	}
-	if m.Payload != nil {
+	if n != 0 {
+		// A capacity-clamped view, so appends by the consumer can never
+		// scribble over neighbouring frames. Empty payloads take no
+		// buffer reference.
+		m.Payload = buf[hdr : hdr+n : hdr+n]
 		m.lease = p.pb
 	}
-	p.consume(hdr+n, m.Payload != nil)
+	p.consume(hdr+n, n != 0)
 	return m, true, nil
-}
-
-// nextV3 decodes a v3 frame; the caller has verified the magic byte and
-// that at least HeaderSize bytes are buffered. buf is pb.data[start:].
-func (p *Parser) nextV3(buf []byte) (Message, bool, error) {
-	hdr := HeaderSizeV3
-	if buf[4]&FlagDeadline != 0 {
-		hdr += DeadlineExtSize
-	}
-	if len(buf) < hdr {
-		return Message{}, false, nil
-	}
-	n := int(buf[0]) | int(buf[1])<<8 | int(buf[2])<<16
-	if len(buf) < hdr+n {
-		return Message{}, false, nil
-	}
-	m := Message{
-		Flags:   buf[4] &^ FlagDeadline,
-		Status:  buf[5],
-		Method:  binary.LittleEndian.Uint16(buf[6:8]),
-		ID:      binary.LittleEndian.Uint64(buf[8:16]),
-		Payload: p.view(buf, hdr, n),
-		V3:      true,
-	}
-	if hdr > HeaderSizeV3 {
-		m.Budget = binary.LittleEndian.Uint32(buf[HeaderSizeV3 : HeaderSizeV3+DeadlineExtSize])
-	}
-	if m.Payload != nil {
-		m.lease = p.pb
-	}
-	p.consume(hdr+n, m.Payload != nil)
-	return m, true, nil
-}
-
-// nextV4 decodes a v4 (streaming/pub-sub) frame; the caller has
-// verified the magic byte and that at least HeaderSize bytes are
-// buffered. buf is pb.data[start:]. v4 has no deadline extension, so
-// the header size is fixed.
-func (p *Parser) nextV4(buf []byte) (Message, bool, error) {
-	if len(buf) < HeaderSizeV4 {
-		return Message{}, false, nil
-	}
-	kind := buf[4]
-	if kind != KindSubscribe && kind != KindUnsubscribe && kind != KindPush {
-		p.err = fmt.Errorf("proto: invalid v4 frame kind %d", kind)
-		return Message{}, false, p.err
-	}
-	n := int(buf[0]) | int(buf[1])<<8 | int(buf[2])<<16
-	if len(buf) < HeaderSizeV4+n {
-		return Message{}, false, nil
-	}
-	m := Message{
-		Kind:    kind,
-		Flags:   buf[5] &^ FlagDeadline,
-		Status:  buf[6],
-		Method:  binary.LittleEndian.Uint16(buf[7:9]),
-		SubID:   binary.LittleEndian.Uint32(buf[9:13]),
-		ID:      binary.LittleEndian.Uint64(buf[13:21]),
-		Payload: p.view(buf, HeaderSizeV4, n),
-		V4:      true,
-	}
-	if m.Payload != nil {
-		m.lease = p.pb
-	}
-	p.consume(HeaderSizeV4+n, m.Payload != nil)
-	return m, true, nil
-}
-
-// view returns the n-byte payload at offset off of buf as a
-// capacity-clamped slice so appends by the consumer can never scribble
-// over neighbouring frames. Empty payloads take no buffer reference.
-func (p *Parser) view(buf []byte, off, n int) []byte {
-	if n == 0 {
-		return nil
-	}
-	return buf[off : off+n : off+n]
 }
 
 // consume advances past one decoded frame of total size n; leased

@@ -41,9 +41,9 @@ func TestBudgetRoundTrip(t *testing.T) {
 		name string
 		m    Message
 	}{
-		{"v2", Message{ID: 9, Payload: []byte("b2"), V2: true, Budget: 1500}},
-		{"v3", Message{ID: 10, Method: 7, Payload: []byte("b3"), V3: true, Budget: 42}},
-		{"v3-flags", Message{ID: 11, Method: 8, V3: true, Budget: 1, Flags: FlagOneWay}},
+		{"v2", Message{ID: 9, Payload: []byte("b2"), Ver: 2, Budget: 1500}},
+		{"v3", Message{ID: 10, Method: 7, Payload: []byte("b3"), Ver: 3, Budget: 42}},
+		{"v3-flags", Message{ID: 11, Method: 8, Ver: 3, Budget: 1, Flags: FlagOneWay}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			frame := AppendMessage(nil, tc.m)
@@ -88,7 +88,7 @@ func TestBudgetRoundTrip(t *testing.T) {
 // An unbudgeted message must encode without the flag or the extension —
 // zero means "no deadline", never "deadline of zero".
 func TestNoBudgetNoExtension(t *testing.T) {
-	m := Message{ID: 1, Method: 2, Payload: []byte("x"), V3: true}
+	m := Message{ID: 1, Method: 2, Payload: []byte("x"), Ver: 3}
 	frame := AppendMessage(nil, m)
 	if len(frame) != FrameSizeV3(1) {
 		t.Fatalf("unbudgeted frame %d bytes, want %d", len(frame), FrameSizeV3(1))

@@ -26,7 +26,7 @@ func TestV1ClientCompatRoundTrip(t *testing.T) {
 	const n = 5
 	var stream []byte
 	for i := uint64(1); i <= n; i++ {
-		stream = proto.AppendFrame(stream, proto.Message{ID: i, Payload: []byte{byte('a' + i)}})
+		stream = proto.AppendMessage(stream, proto.Message{ID: i, Payload: []byte{byte('a' + i)}})
 	}
 	if _, err := nc.Write(stream); err != nil {
 		t.Fatal(err)

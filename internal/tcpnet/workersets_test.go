@@ -154,7 +154,7 @@ func TestBlockedWriterDrainsItself(t *testing.T) {
 	}
 	defer nc.Close()
 	const requests, size = 512, 64 << 10 // 32MB of replies: far past staging + socket buffers
-	frame := proto.AppendFrameV2(nil, proto.Message{ID: 1, Payload: make([]byte, size)})
+	frame := proto.AppendMessage(nil, proto.Message{Ver: 2, ID: 1, Payload: make([]byte, size)})
 	writeErr := make(chan error, 1)
 	go func() {
 		for i := 0; i < requests; i++ {
@@ -206,7 +206,7 @@ func dialRaw(t *testing.T, addr string) *rawClient {
 }
 
 func (c *rawClient) call(payload string) (string, error) {
-	if _, err := c.nc.Write(proto.AppendFrameV2(nil, proto.Message{ID: 1, Payload: []byte(payload)})); err != nil {
+	if _, err := c.nc.Write(proto.AppendMessage(nil, proto.Message{Ver: 2, ID: 1, Payload: []byte(payload)})); err != nil {
 		return "", err
 	}
 	_ = c.nc.SetReadDeadline(time.Now().Add(5 * time.Second))

@@ -309,7 +309,7 @@ func rawSubscribe(t *testing.T, addr string, topic uint16, policy uint8, qcap ui
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := proto.AppendFrameV4(nil, proto.Message{ID: 1, Method: topic, SubID: 77, Kind: proto.KindSubscribe, Payload: spec})
+	frame := proto.AppendMessage(nil, proto.Message{Ver: 4, ID: 1, Method: topic, SubID: 77, Kind: proto.KindSubscribe, Payload: spec})
 	if _, err := nc.Write(frame); err != nil {
 		t.Fatal(err)
 	}

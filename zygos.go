@@ -466,7 +466,7 @@ func NewServer(cfg Config) (*Server, error) {
 	rt, err := core.New(core.Config{
 		Cores: cfg.Cores,
 		Handler: core.HandlerFunc(func(ctx *core.Ctx, c *core.Conn, m proto.Message) {
-			if m.V4 {
+			if m.Ver == 4 {
 				// v4 control frames (SUBSCRIBE/UNSUBSCRIBE) are runtime
 				// traffic, not application requests: they never reach the
 				// Handler or its middleware chain.
