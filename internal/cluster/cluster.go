@@ -25,6 +25,18 @@
 //     key's R ring owners, writes fan out to all owners with the
 //     primary's reply returned. Writes are never hedged (duplicating a
 //     non-idempotent operation is not a latency optimization).
+//
+// Every send of a logical request is an attempt launched by op.launch:
+// the primary (the only pick that may claim a half-open breaker probe),
+// then at most one rescue — a hedge past the deadline while the primary
+// is out, or a failover once a transport failure leaves nothing
+// outstanding. A send the transport refuses synchronously never reaches
+// its callback, so launch rescues it at once as a failover while the
+// attempt budget lasts. When nothing is outstanding and nothing more can
+// be sent the op settles exactly once: its timers stop, it leaves the
+// Close registry, and one outcome is delivered — to Do's caller if no
+// attempt ever got out, to Done otherwise. One-way sends take the same
+// path without timers, registry or reply.
 package cluster
 
 import (
@@ -43,8 +55,6 @@ var (
 	// in flight when Close runs settle with it too, so every callback
 	// fires exactly once even across shutdown.
 	ErrClusterClosed = errors.New("cluster: closed")
-	// ErrClosed is the pre-hardening name for ErrClusterClosed.
-	ErrClosed = ErrClusterClosed
 	// ErrNoSubscriptions reports a subscription call on a cluster: push
 	// topics live on a backend, so subscribe there (or relay the topic).
 	ErrNoSubscriptions = errors.New("cluster: subscriptions are per backend")
@@ -199,7 +209,7 @@ func (b *Backend) score(now, ttl int64) int64 {
 
 // Balancer picks backends by policy over the live score. It is
 // stateless apart from the rotation counter and the RNG word, both
-// lock-free, so Pick is safe from any goroutine.
+// lock-free, so choose is safe from any goroutine.
 type Balancer struct {
 	policy Policy
 	ttl    int64
@@ -239,55 +249,13 @@ func ineligible(b *Backend, exclude []*Backend, skip func(*Backend) bool) bool {
 	return excluded(b, exclude) || (skip != nil && skip(b))
 }
 
-// Pick selects a backend from bs by policy, skipping exclude (backends
-// already tried by this request). Returns nil if none is eligible.
-func (bl *Balancer) Pick(bs []*Backend, exclude []*Backend) *Backend {
-	return bl.pick(bs, exclude, nil)
-}
-
-// pick is Pick with a health predicate: backends for which skip returns
-// true are treated like excluded ones.
-func (bl *Balancer) pick(bs []*Backend, exclude []*Backend, skip func(*Backend) bool) *Backend {
+// choose selects a backend from bs, passing over exclude (backends this
+// request already tried) and any for which skip reports true; nil if
+// none is eligible. A keyed request takes the least-loaded of its
+// replica set; others go by policy.
+func (bl *Balancer) choose(bs, exclude []*Backend, keyed bool, skip func(*Backend) bool) *Backend {
 	n := len(bs)
-	if n == 0 {
-		return nil
-	}
-	switch bl.policy {
-	case P2C:
-		if n-len(exclude) > 2 {
-			now := nanotime()
-			r := bl.rand()
-			i := int(r % uint64(n))
-			j := int((r >> 32) % uint64(n-1))
-			if j >= i {
-				j++
-			}
-			a, b := bs[i], bs[j]
-			if ineligible(a, exclude, skip) {
-				a = nil
-			}
-			if ineligible(b, exclude, skip) {
-				b = nil
-			}
-			switch {
-			case a == nil && b == nil:
-				return bl.least(bs, exclude, skip)
-			case a == nil:
-				return b
-			case b == nil:
-				return a
-			}
-			if b.score(now, bl.ttl) < a.score(now, bl.ttl) {
-				return b
-			}
-			return a
-		}
-		// Too few distinct candidates for a random pair; degrade to a
-		// full scan.
-		return bl.least(bs, exclude, skip)
-	case JSQ:
-		return bl.least(bs, exclude, skip)
-	default: // RoundRobin
+	if !keyed && bl.policy == RoundRobin {
 		start := bl.rr.Add(1)
 		for k := 0; k < n; k++ {
 			b := bs[int((start+uint64(k))%uint64(n))]
@@ -297,15 +265,30 @@ func (bl *Balancer) pick(bs []*Backend, exclude []*Backend, skip func(*Backend) 
 		}
 		return nil
 	}
-}
-
-// Least returns the lowest-score backend in bs, skipping exclude.
-func (bl *Balancer) Least(bs []*Backend, exclude []*Backend) *Backend {
-	return bl.least(bs, exclude, nil)
-}
-
-// least is Least with a health predicate.
-func (bl *Balancer) least(bs []*Backend, exclude []*Backend, skip func(*Backend) bool) *Backend {
+	// P2C compares a random pair; with too few distinct candidates for
+	// one, or neither of the pair eligible, it degrades to the full scan.
+	if !keyed && bl.policy == P2C && n-len(exclude) > 2 {
+		r := bl.rand()
+		i := int(r % uint64(n))
+		j := int((r >> 32) % uint64(n-1))
+		if j >= i {
+			j++
+		}
+		a, b := bs[i], bs[j]
+		okA, okB := !ineligible(a, exclude, skip), !ineligible(b, exclude, skip)
+		switch {
+		case okA && okB:
+			now := nanotime()
+			if b.score(now, bl.ttl) < a.score(now, bl.ttl) {
+				return b
+			}
+			return a
+		case okA:
+			return a
+		case okB:
+			return b
+		}
+	}
 	now := nanotime()
 	var best *Backend
 	var bestScore int64
@@ -562,7 +545,7 @@ func (c *Cluster) Close() {
 			continue
 		}
 		o.settleLocked()
-		o.cb(nil, ErrClusterClosed)
+		o.call.Done(nil, ErrClusterClosed)
 	}
 	for _, b := range c.Backends() {
 		if cl, ok := b.c.(interface{ Close() }); ok {
@@ -613,7 +596,7 @@ func (c *Cluster) pickFor(owners []*Backend, tried []*Backend, probe, fallback b
 		pool = c.Backends()
 	}
 	if c.cfg.Breaker.Disabled {
-		return c.rawPick(pool, tried, keyed)
+		return c.bal.choose(pool, tried, keyed, nil)
 	}
 	if probe {
 		now := nanotime()
@@ -623,33 +606,19 @@ func (c *Cluster) pickFor(owners []*Backend, tried []*Backend, probe, fallback b
 			}
 		}
 	}
-	if b := c.healthyPick(pool, tried, keyed); b != nil {
+	if b := c.bal.choose(pool, tried, keyed, brUnhealthy); b != nil {
 		return b
 	}
 	if keyed && fallback && !c.cfg.NoReadFallback {
-		if b := c.healthyPick(c.Backends(), tried, false); b != nil {
+		if b := c.bal.choose(c.Backends(), tried, false, brUnhealthy); b != nil {
 			c.nReadFallback.Add(1)
 			return b
 		}
 	}
 	if probe {
-		return c.rawPick(pool, tried, keyed)
+		return c.bal.choose(pool, tried, keyed, nil)
 	}
 	return nil
-}
-
-func (c *Cluster) rawPick(pool, tried []*Backend, keyed bool) *Backend {
-	if keyed {
-		return c.bal.Least(pool, tried)
-	}
-	return c.bal.Pick(pool, tried)
-}
-
-func (c *Cluster) healthyPick(pool, tried []*Backend, keyed bool) *Backend {
-	if keyed {
-		return c.bal.least(pool, tried, brUnhealthy)
-	}
-	return c.bal.pick(pool, tried, brUnhealthy)
 }
 
 // route resolves keyed routing for a request: the owner set and whether
@@ -673,12 +642,12 @@ func (c *Cluster) route(method uint16, legacy bool, payload []byte) (owners []*B
 // op is one logical request in flight: up to maxAttempts sends racing,
 // first final reply wins.
 type op struct {
-	c       *Cluster
-	method  uint16
-	legacy  bool
-	payload []byte // cluster-owned copy: rescue sends outlive the caller's slice
-	cb      func(resp []byte, err error)
-	owners  []*Backend // non-nil restricts rescue picks to the replica set
+	c *Cluster
+	// call is the caller's request. Its Done receives the op's one
+	// outcome; a request's Payload is a cluster-owned copy, since rescue
+	// sends outlive the caller's slice.
+	call   proto.Call
+	owners []*Backend // non-nil restricts rescue picks to the replica set
 
 	// fallback permits keyed-read escape to a non-owner when every owner
 	// is tripped Down; never set for writes.
@@ -700,137 +669,137 @@ type op struct {
 	dtimer      *time.Timer // deadline
 }
 
-// dispatch issues one attempt to b. On synchronous error the callback
-// will never run for this attempt; the caller owns the bookkeeping.
-func (o *op) dispatch(b *Backend, isHedge bool) error {
-	b.inflight.Add(1)
-	start := time.Now()
-	call := proto.Call{
-		Method:  o.method,
-		Legacy:  o.legacy,
-		Payload: o.payload,
-		Done:    func(resp []byte, err error) { o.finish(b, isHedge, start, resp, err) },
+// attemptKind says why an attempt is sent.
+type attemptKind uint8
+
+const (
+	primary  attemptKind = iota // the first send; may claim a half-open probe
+	hedge                       // a duplicate raced past the hedge deadline
+	failover                    // a rescue once nothing else is outstanding
+)
+
+// launch sends one attempt of kind k — the only place an attempt is
+// counted — and rescues a synchronous refusal as a failover while the
+// attempt budget lasts. A failover waits until nothing else is
+// outstanding: a racing attempt decides first. The caller holds o.mu;
+// launch releases it. Once nothing is outstanding and nothing more can
+// be sent, launch settles the op and returns the error to deliver
+// (cause, or the last refusal), which the caller hands to Do's caller or
+// to Done; nil means the op is still in flight or already delivered.
+func (o *op) launch(k attemptKind, cause error) error {
+	for {
+		var b *Backend
+		if !o.done && (k != failover || o.outstanding == 0) &&
+			o.attempts < maxAttempts && !o.c.closed.Load() {
+			b = o.c.pickFor(o.owners, o.tried, k == primary, o.fallback)
+		}
+		if b == nil {
+			if o.done || o.outstanding > 0 {
+				o.mu.Unlock()
+				return nil
+			}
+			o.settleLocked()
+			return cause
+		}
+		o.attempts++
+		o.outstanding++
+		o.tried = append(o.tried, b)
+		o.mu.Unlock()
+		switch k {
+		case hedge:
+			o.c.nHedges.Add(1)
+		case failover:
+			o.c.nFailovers.Add(1)
+		}
+		err := o.dispatch(b, k)
+		if err == nil {
+			return nil
+		}
+		o.mu.Lock()
+		o.outstanding--
+		k, cause = failover, err
+	}
+}
+
+// dispatch issues one attempt to b: the op's call with the deadline
+// budget remaining now and, for a request, a Done that reports to
+// finish.
+func (o *op) dispatch(b *Backend, k attemptKind) error {
+	call := o.call
+	if !call.OneWay {
+		start := time.Now()
+		call.Done = func(resp []byte, err error) { o.finish(b, k, start, resp, err) }
 	}
 	if !o.deadline.IsZero() {
-		call.Budget = time.Until(o.deadline)
-		if call.Budget <= 0 {
-			// Already out of budget: stamp the floor instead of omitting
-			// the extension (no budget means *unlimited* on the wire), so
-			// the backend sheds it as expired-on-arrival for free.
-			call.Budget = time.Microsecond
-		}
+		// Once the budget is gone, stamp the floor instead of omitting the
+		// extension (no budget means *unlimited* on the wire), so the
+		// backend sheds it as expired-on-arrival for free.
+		call.Budget = max(time.Until(o.deadline), time.Microsecond)
 	}
+	return o.c.send(b, call)
+}
+
+// send issues call to b and counts it in b's in-flight load until
+// noteReply (for a one-way, until the write returns). A synchronous
+// refusal — Done will never run — means the transport already knows the
+// peer is unreachable (dial backoff, closed manager): b trips now, so
+// later picks, this op's own rescues included, skip it.
+func (c *Cluster) send(b *Backend, call proto.Call) error {
+	b.inflight.Add(1)
 	err := b.c.Do(call)
-	if err != nil {
+	if err != nil || call.OneWay {
 		b.inflight.Add(-1)
-		// A synchronous refusal means the transport already knows the
-		// peer is unreachable (dial backoff, closed manager): trip now so
-		// later picks — including this op's own rescues — skip it.
-		o.c.noteBackendFailure(b, true)
+	}
+	if err != nil {
+		c.noteBackendFailure(b, true)
 	}
 	return err
 }
 
-// finish is every attempt's completion. Exactly one final reply reaches
-// o.cb; late finals are counted as losers and dropped, transport
-// failures fail over while attempts remain.
-func (o *op) finish(b *Backend, isHedge bool, start time.Time, resp []byte, err error) {
+// noteReply closes one request sent to b: its in-flight count drops and
+// its breaker sees the verdict. It reports whether err is a final reply
+// — nil or an application-level StatusError — rather than a transport
+// failure.
+func (c *Cluster) noteReply(b *Backend, err error) bool {
 	b.inflight.Add(-1)
-	final := err == nil || isStatusErr(err)
-	if final {
-		o.c.noteBackendSuccess(b)
-	} else {
-		o.c.noteBackendFailure(b, false)
+	var se *proto.StatusError
+	if err != nil && !errors.As(err, &se) {
+		c.noteBackendFailure(b, false)
+		return false
 	}
+	c.noteBackendSuccess(b)
+	return true
+}
+
+// finish is every request attempt's completion. The first final reply
+// reaches Done; later finals are counted as losers and dropped, and a
+// transport failure fails over (see launch).
+func (o *op) finish(b *Backend, k attemptKind, start time.Time, resp []byte, err error) {
+	final := o.c.noteReply(b, err)
 	o.mu.Lock()
 	o.outstanding--
+	if !final {
+		if err := o.launch(failover, err); err != nil {
+			o.call.Done(nil, err)
+		}
+		return
+	}
 	if o.done {
 		o.mu.Unlock()
-		if final {
-			o.c.nLosers.Add(1)
-		}
+		o.c.nLosers.Add(1)
 		return
-	}
-	if final {
-		o.settleLocked()
-		o.c.trackerFor(o.method, o.legacy).record(time.Since(start), o.c.cfg.Hedge)
-		if isHedge {
-			o.c.nHedgeWins.Add(1)
-		}
-		o.cb(resp, err)
-		return
-	}
-	// Transport failure. If another attempt is still racing, let it
-	// decide the outcome; otherwise fail over once, then give up.
-	if o.outstanding > 0 {
-		o.mu.Unlock()
-		return
-	}
-	if o.attempts < maxAttempts && !o.c.closed.Load() {
-		if nb := o.c.pickFor(o.owners, o.tried, false, o.fallback); nb != nil {
-			o.attempts++
-			o.outstanding++
-			o.tried = append(o.tried, nb)
-			o.mu.Unlock()
-			o.c.nFailovers.Add(1)
-			if o.dispatch(nb, false) != nil {
-				o.noteDispatchFailed(err)
-			}
-			return
-		}
 	}
 	o.settleLocked()
-	o.cb(nil, err)
-}
-
-// isStatusErr reports whether err is an application-level StatusError —
-// a valid final reply, as opposed to a transport failure.
-func isStatusErr(err error) bool {
-	var se *proto.StatusError
-	return errors.As(err, &se)
-}
-
-// noteDispatchFailed is the bookkeeping for an attempt whose dispatch
-// failed synchronously after it had been counted outstanding (the
-// transport callback will never run for it). If another attempt is
-// still racing it decides the outcome; otherwise rescue while the
-// attempt budget lasts, and failing that settle the op with err so
-// o.cb still fires exactly once. Without the settle, a hedge refused
-// synchronously (e.g. dial backoff) after the primary's transport
-// failure would leave the op undecided and a blocking Call hung
-// forever.
-func (o *op) noteDispatchFailed(err error) {
-	o.mu.Lock()
-	for {
-		o.outstanding--
-		if o.done || o.outstanding > 0 {
-			o.mu.Unlock()
-			return
-		}
-		if o.attempts >= maxAttempts || o.c.closed.Load() {
-			break
-		}
-		nb := o.c.pickFor(o.owners, o.tried, false, o.fallback)
-		if nb == nil {
-			break
-		}
-		o.attempts++
-		o.outstanding++
-		o.tried = append(o.tried, nb)
-		o.mu.Unlock()
-		o.c.nFailovers.Add(1)
-		if o.dispatch(nb, false) == nil {
-			return
-		}
-		o.mu.Lock()
+	o.c.trackerFor(o.call.Method, o.call.Legacy).record(time.Since(start), o.c.cfg.Hedge)
+	if k == hedge {
+		o.c.nHedgeWins.Add(1)
 	}
-	o.settleLocked()
-	o.cb(nil, err)
+	o.call.Done(resp, err)
 }
 
 // settleLocked marks the op decided, stops its hedge and deadline
 // timers, and deregisters it from the Close registry. Caller holds
-// o.mu; it is released here so cb runs lock-free. (The registry lock is
+// o.mu; it is released here so Done runs lock-free. (The registry lock is
 // only taken after o.mu is dropped, so settle and Close can never
 // deadlock against each other.)
 func (o *op) settleLocked() {
@@ -849,22 +818,8 @@ func (o *op) settleLocked() {
 // the route's deadline, so race a duplicate on a second backend.
 func (o *op) fireHedge() {
 	o.mu.Lock()
-	if o.done || o.attempts >= maxAttempts || o.c.closed.Load() {
-		o.mu.Unlock()
-		return
-	}
-	nb := o.c.pickFor(o.owners, o.tried, false, o.fallback)
-	if nb == nil {
-		o.mu.Unlock()
-		return
-	}
-	o.attempts++
-	o.outstanding++
-	o.tried = append(o.tried, nb)
-	o.mu.Unlock()
-	o.c.nHedges.Add(1)
-	if err := o.dispatch(nb, true); err != nil {
-		o.noteDispatchFailed(err)
+	if err := o.launch(hedge, nil); err != nil {
+		o.call.Done(nil, err)
 	}
 }
 
@@ -880,7 +835,7 @@ func (o *op) fireDeadline() {
 	}
 	o.c.nDeadlines.Add(1)
 	o.settleLocked()
-	o.cb(nil, proto.ErrCallTimeout)
+	o.call.Done(nil, proto.ErrCallTimeout)
 }
 
 // effTimeout resolves a per-call deadline override against the
@@ -896,10 +851,12 @@ func (c *Cluster) effTimeout(d time.Duration) time.Duration {
 	return c.cfg.CallTimeout
 }
 
-// Do is the cluster's one entry point: it admits the call, then sends
-// it as a one-way or as a logical request (see sendAsync). Call.Budget
-// is the per-call deadline override (see effTimeout). Subscription calls
-// are refused with ErrNoSubscriptions.
+// Do is the cluster's one entry point: it admits the call, replicates a
+// keyed write to its secondaries, and launches the primary attempt — at
+// once for a one-way, through sendAsync for a request. A one-way
+// therefore reports its primary's send result, as a request does.
+// Call.Budget is the per-call deadline override (see effTimeout).
+// Subscription calls are refused with ErrNoSubscriptions.
 func (c *Cluster) Do(call proto.Call) error {
 	if c.closed.Load() {
 		return ErrClusterClosed
@@ -914,115 +871,64 @@ func (c *Cluster) Do(call proto.Call) error {
 		return err
 	}
 	c.nCalls.Add(1)
-	if call.OneWay {
-		return c.sendOneWay(call)
-	}
-	return c.sendAsync(call)
-}
-
-// sendAsync routes a request, replicates writes, arms the hedge and
-// deadline timers, dispatches the primary, and fails over synchronous
-// refusals.
-func (c *Cluster) sendAsync(call proto.Call) error {
-	method, legacy, payload := call.Method, call.Legacy, call.Payload
-	owners, write := c.route(method, legacy, payload)
+	owners, write := c.route(call.Method, call.Legacy, call.Payload)
 	if write && len(owners) > 1 {
-		// Replicate to the secondaries now — transports encode
-		// synchronously, so the caller's payload is still valid — and
-		// drive the logical reply off the primary alone. A secondary
-		// send lost to a transport error (StatusError means the write
-		// reached the backend) is counted: the primary's reply hides it
-		// from the caller, and reads route to any owner.
-		for _, sb := range owners[1:] {
-			sb.inflight.Add(1)
-			rb := sb
-			cb := func(_ []byte, err error) {
-				rb.inflight.Add(-1)
-				if err != nil && !isStatusErr(err) {
-					c.nReplicaErrs.Add(1)
-					c.noteBackendFailure(rb, false)
-				} else {
-					c.noteBackendSuccess(rb)
-				}
-			}
-			if err := sb.c.Do(proto.Call{Method: method, Payload: payload, Done: cb}); err != nil {
-				rb.inflight.Add(-1)
-				c.nReplicaErrs.Add(1)
-				c.noteBackendFailure(rb, true)
-			}
-		}
+		c.replicate(call, owners[1:])
 		owners = owners[:1:1]
 	}
-	o := &op{
-		c:        c,
-		method:   method,
-		legacy:   legacy,
-		payload:  append([]byte(nil), payload...),
-		cb:       call.Done,
-		owners:   owners,
-		fallback: len(owners) > 0 && !write,
+	o := &op{c: c, call: call, owners: owners, fallback: len(owners) > 0 && !write}
+	o.mu.Lock()
+	if call.OneWay {
+		// A one-way is over once written: no reply to race, so no timers
+		// and no registry entry, and every send happens inside this call,
+		// so the caller's payload needs no copy.
+		return o.launch(primary, ErrNoBackends)
 	}
-	b := c.pickFor(owners, nil, true, o.fallback)
-	if b == nil {
-		return ErrNoBackends
-	}
+	return c.sendAsync(o, c.cfg.Hedge.Enabled && !write)
+}
+
+// sendAsync registers a request op for Close, arms its hedge and
+// deadline timers, and launches its primary. The caller holds o.mu:
+// Close and both timer callbacks take it before touching the op, so
+// none can act on it half built.
+func (c *Cluster) sendAsync(o *op, hedged bool) error {
 	if !c.trackOp(o) {
+		o.mu.Unlock()
 		return ErrClusterClosed
 	}
-	// Arm the timers under o.mu: both fire callbacks take the lock
-	// before touching the op, so holding it across the assignments
-	// orders them against a timer that fires immediately.
-	o.mu.Lock()
-	o.attempts = 1
-	o.outstanding = 1
-	o.tried = append(o.tried, b)
-	if c.cfg.Hedge.Enabled && !write {
-		delay := c.trackerFor(method, legacy).delay(c.cfg.Hedge)
+	o.call.Payload = append([]byte(nil), o.call.Payload...)
+	if hedged {
+		delay := c.trackerFor(o.call.Method, o.call.Legacy).delay(c.cfg.Hedge)
 		o.timer = time.AfterFunc(delay, o.fireHedge)
 	}
-	if t := c.effTimeout(call.Budget); t > 0 {
+	if t := c.effTimeout(o.call.Budget); t > 0 {
 		o.deadline = time.Now().Add(t)
 		o.dtimer = time.AfterFunc(t, o.fireDeadline)
 	}
-	o.mu.Unlock()
-	err := o.dispatch(b, false)
-	if err == nil {
-		return nil
-	}
-	// The primary transport refused synchronously; try one failover
-	// before surfacing the error (the callback has not and will not
-	// run for the refused attempt).
-	o.mu.Lock()
-	o.outstanding--
-	if o.outstanding > 0 { // a hedge raced in already; let it decide
-		o.mu.Unlock()
-		return nil
-	}
-	if o.done { // a hedge raced in and already completed the op
-		o.mu.Unlock()
-		return nil
-	}
-	nb := c.pickFor(owners, o.tried, false, o.fallback)
-	if nb == nil || o.attempts >= maxAttempts {
-		o.settleLocked()
-		return err
-	}
-	o.attempts++
-	o.outstanding++
-	o.tried = append(o.tried, nb)
-	o.mu.Unlock()
-	c.nFailovers.Add(1)
-	if derr := o.dispatch(nb, false); derr != nil {
-		o.mu.Lock()
-		o.outstanding--
-		if o.done || o.outstanding > 0 {
-			o.mu.Unlock()
-			return nil
+	o.call.Budget = 0 // dispatch stamps what remains of the deadline
+	return o.launch(primary, ErrNoBackends)
+}
+
+// replicate sends a keyed write to the key's secondary owners, before
+// the primary goes out: transports encode synchronously, so the caller's
+// payload is still valid, and the logical outcome is the primary's
+// alone. A secondary write lost to a refusal or a transport failure is
+// counted in ReplicaWriteFailures — the primary's outcome hides it from
+// the caller, and reads route to any owner.
+func (c *Cluster) replicate(call proto.Call, secondaries []*Backend) {
+	for _, b := range secondaries {
+		rc := proto.Call{Method: call.Method, Payload: call.Payload, OneWay: call.OneWay}
+		if !rc.OneWay {
+			rc.Done = func(_ []byte, err error) {
+				if !c.noteReply(b, err) {
+					c.nReplicaErrs.Add(1)
+				}
+			}
 		}
-		o.settleLocked()
-		return derr
+		if c.send(b, rc) != nil {
+			c.nReplicaErrs.Add(1)
+		}
 	}
-	return nil
 }
 
 // admit is the front-tier admission gate: with MaxClusterDepth set, a
@@ -1065,50 +971,6 @@ func (c *Cluster) admit() error {
 		Code: proto.StatusShed,
 		Msg:  proto.FormatRetryAfter(hint, "cluster admission: fleet depth exceeded"),
 	}
-}
-
-// sendOneWay routes a fire-and-forget request: keyed writes fan out to
-// every owner, everything else goes to one picked backend.
-func (c *Cluster) sendOneWay(call proto.Call) error {
-	owners, write := c.route(call.Method, call.Legacy, call.Payload)
-	if write && len(owners) > 1 {
-		var err error
-		for i, b := range owners {
-			if e := b.c.Do(call); e != nil {
-				c.noteBackendFailure(b, true)
-				if i > 0 {
-					c.nReplicaErrs.Add(1)
-				}
-				if err == nil {
-					err = e
-				}
-			}
-		}
-		return err
-	}
-	var tried []*Backend
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		b := c.pickFor(owners, tried, attempt == 0, !write && len(owners) > 0)
-		if b == nil {
-			if attempt == 0 {
-				return ErrNoBackends
-			}
-			break
-		}
-		err := b.c.Do(call)
-		if err == nil {
-			return nil
-		}
-		// A one-way send fails only synchronously; the transport is
-		// refusing writes to this peer right now.
-		c.noteBackendFailure(b, true)
-		tried = append(tried, b)
-		if attempt == maxAttempts-1 {
-			return err
-		}
-		c.nFailovers.Add(1)
-	}
-	return ErrNoBackends
 }
 
 // EnforcesBudget implements proto.BudgetEnforcer: the op-level deadline

@@ -227,7 +227,7 @@ func TestBalancerScoring(t *testing.T) {
 	bl := NewBalancer(JSQ, 10*time.Millisecond)
 
 	bs[0].inflight.Store(5)
-	if got := bl.Least(bs, nil); got != bs[1] {
+	if got := bl.choose(bs, nil, true, nil); got != bs[1] {
 		t.Fatalf("Least picked %s, want b (a has 5 inflight)", got.name)
 	}
 
@@ -235,21 +235,21 @@ func TestBalancerScoring(t *testing.T) {
 	bs[0].inflight.Store(0)
 	bs[1].inflight.Store(1)
 	bs[0].NoteDepth(50)
-	if got := bl.Least(bs, nil); got != bs[1] {
+	if got := bl.choose(bs, nil, true, nil); got != bs[1] {
 		t.Fatalf("Least ignored fresh depth report on a")
 	}
 
 	// Stale reports decay: backdate the report past the TTL.
 	bs[0].depthAt.Store(time.Now().Add(-time.Second).UnixNano())
-	if got := bl.Least(bs, nil); got != bs[0] {
+	if got := bl.choose(bs, nil, true, nil); got != bs[0] {
 		t.Fatalf("Least still counts a depth report older than the TTL")
 	}
 
 	// Exclusion skips already-tried backends.
-	if got := bl.Least(bs, []*Backend{bs[0]}); got != bs[1] {
+	if got := bl.choose(bs, []*Backend{bs[0]}, true, nil); got != bs[1] {
 		t.Fatalf("Least returned an excluded backend")
 	}
-	if got := bl.Least(bs, bs); got != nil {
+	if got := bl.choose(bs, bs, true, nil); got != nil {
 		t.Fatalf("Least with everything excluded returned %v", got)
 	}
 }
@@ -262,7 +262,7 @@ func TestBalancerPickExclusion(t *testing.T) {
 		bl := NewBalancer(pol, 0)
 		seen := map[string]bool{}
 		for i := 0; i < 200; i++ {
-			b := bl.Pick(bs, []*Backend{bs[0]})
+			b := bl.choose(bs, []*Backend{bs[0]}, false, nil)
 			if b == nil {
 				t.Fatalf("%v: Pick returned nil with eligible backends", pol)
 			}
@@ -285,7 +285,7 @@ func TestBalancerRoundRobinRotation(t *testing.T) {
 	bl := NewBalancer(RoundRobin, 0)
 	counts := map[string]int{}
 	for i := 0; i < 300; i++ {
-		counts[bl.Pick(bs, nil).name]++
+		counts[bl.choose(bs, nil, false, nil).name]++
 	}
 	for n, c := range counts {
 		if c != 100 {

@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,9 +27,10 @@ const minSamples = 8
 type tracker struct {
 	mu     sync.Mutex
 	window [hedgeWindow]int64
-	n      int // samples stored (≤ hedgeWindow)
-	idx    int // next write position
-	since  int // records since the last recompute
+	sorted [hedgeWindow]int64 // recompute scratch: the reply path never allocates
+	n      int                // samples stored (≤ hedgeWindow)
+	idx    int                // next write position
+	since  int                // records since the last recompute
 
 	cached atomic.Int64 // current deadline, ns; 0 = no history yet
 }
@@ -81,14 +82,14 @@ func (t *tracker) recomputeLocked(cfg HedgeConfig) {
 	if t.n < minSamples {
 		return
 	}
-	scratch := make([]int64, t.n)
-	copy(scratch, t.window[:t.n])
-	sort.Slice(scratch, func(i, j int) bool { return scratch[i] < scratch[j] })
+	sorted := t.sorted[:t.n]
+	copy(sorted, t.window[:t.n])
+	slices.Sort(sorted)
 	rank := (99*t.n + 99) / 100 // ceil(0.99 * n)
 	if rank > t.n {
 		rank = t.n
 	}
-	p99 := scratch[rank-1]
+	p99 := sorted[rank-1]
 	if min := cfg.MinDelay.Nanoseconds(); p99 < min {
 		p99 = min
 	}
