@@ -95,9 +95,10 @@ func TestAllocsRoutedEchoRoundTrip(t *testing.T) {
 	}
 }
 
-// The echo round trip over loopback TCP — DialClient to Server.Serve,
-// where the server's workers read and write their sockets themselves —
-// holds the same bar: a socket read or write must not build a closure.
+// The echo round trip over loopback TCP — a client socket to
+// Server.Serve, where the server's workers read and write their sockets
+// themselves — holds the same bar: a socket read or write must not
+// build a closure. Both kinds of client socket are held to it.
 func TestAllocsTCPEchoRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting is load-bearing; skip under -short")
@@ -118,26 +119,48 @@ func TestAllocsTCPEchoRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	go srv.Serve(l)
-	c, err := DialClient(l.Addr().String(), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	payload := []byte("0123456789abcdef")
-	var buf []byte
-	call := func() {
-		r, err := c.CallInto(payload, buf[:0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf = r
-	}
-	for i := 0; i < 512; i++ {
-		call()
-	}
-	allocs := testing.AllocsPerRun(2000, call)
-	if allocs >= allocBudget {
-		t.Fatalf("TCP echo round trip allocates %.2f/op; budget %.2f (zero-allocation hot path regressed)", allocs, allocBudget)
+	addr := l.Addr().String()
+	for _, tc := range []struct {
+		name string
+		dial func() (Caller, func(), error)
+	}{
+		{"DialClient", func() (Caller, func(), error) {
+			c, err := DialClient(addr, 5*time.Second)
+			if err != nil {
+				return nil, nil, err
+			}
+			return c, c.Close, nil
+		}},
+		{"ConnManager", func() (Caller, func(), error) {
+			m := NewConnManager(addr, 1, 5*time.Second)
+			c, err := m.NewCaller()
+			return c, m.Close, err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, closeFn, err := tc.dial()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer closeFn()
+			payload := []byte("0123456789abcdef")
+			var buf []byte
+			call := func() {
+				r, err := c.CallInto(payload, buf[:0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				buf = r
+			}
+			for i := 0; i < 512; i++ {
+				call()
+			}
+			allocs := testing.AllocsPerRun(2000, call)
+			t.Logf("%.2f allocs/op", allocs)
+			if allocs >= allocBudget {
+				t.Fatalf("TCP echo round trip allocates %.2f/op; budget %.2f (zero-allocation hot path regressed)", allocs, allocBudget)
+			}
+		})
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -232,5 +233,147 @@ func TestConnManagerDialBackoff(t *testing.T) {
 			t.Fatalf("caller never recovered after server restart: %v", err)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// A call's frame may only leave on the socket whose dispatcher issued
+// its ID: every redial starts a fresh dispatcher numbering from 1, so a
+// frame registered before a redial and written after it would be
+// answered with another caller's reply. Callers share one socket while
+// the server tears its connections down every 300µs; calls may fail,
+// but every reply that arrives must be the caller's own.
+func TestRedialBindsIDToConnection(t *testing.T) {
+	_, srv, addr := startReapServer(t, 0, echoHandler)
+	m := NewConnManager(addr, 1, time.Second)
+	defer m.Close()
+
+	stop := make(chan struct{})
+	tornDown := make(chan struct{})
+	go func() {
+		defer close(tornDown)
+		tick := time.NewTicker(300 * time.Microsecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+			}
+			for _, sc := range srv.snapshotConns() {
+				sc.teardown()
+			}
+		}
+	}()
+
+	const callers = 32
+	deadline := time.Now().Add(time.Second)
+	var ok, crossed atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		c, err := m.NewCaller()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(id int, c *ManagedCaller) {
+			defer wg.Done()
+			for j := 0; time.Now().Before(deadline); j++ {
+				want := fmt.Sprintf("caller-%d-call-%d", id, j)
+				got, err := c.CallTimeout([]byte(want), time.Second)
+				if err != nil {
+					continue
+				}
+				if string(got) != want {
+					if crossed.Add(1) == 1 {
+						t.Errorf("crossed reply: sent %q, got %q", want, got)
+					}
+					continue
+				}
+				ok.Add(1)
+			}
+		}(i, c)
+	}
+	wg.Wait()
+	close(stop)
+	<-tornDown
+	if n := crossed.Load(); n > 0 {
+		t.Fatalf("%d replies crossed to the wrong caller (%d correct)", n, ok.Load())
+	}
+	if ok.Load() == 0 {
+		t.Fatal("no call succeeded under churn")
+	}
+}
+
+// blockedConn holds every Write until release closes, announcing each
+// one on entered, so a test can park a flusher mid-write.
+type blockedConn struct {
+	net.Conn
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (c *blockedConn) Write(p []byte) (int, error) {
+	c.entered <- struct{}{}
+	<-c.release
+	return c.Conn.Write(p)
+}
+
+// A flusher still blocked writing to a socket that has since failed and
+// been redialed must leave the new socket alone: its write error may
+// not close the redialed connection, nor its loop write the new
+// socket's frames to the dead one.
+func TestStaleFlusherLeavesRedialedSocket(t *testing.T) {
+	_, _, addr := startReapServer(t, 0, echoHandler)
+	m := NewConnManager(addr, 1, time.Second)
+	defer m.Close()
+
+	first := &blockedConn{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	var dials atomic.Int32
+	m.socks[0].dial = func() (net.Conn, error) {
+		nc, err := dialTCP(addr, time.Second)
+		if err != nil {
+			return nil, err
+		}
+		if dials.Add(1) == 1 {
+			first.Conn = nc
+			return first, nil
+		}
+		return nc, nil
+	}
+	c, err := m.NewCaller()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	aErr := make(chan error, 1)
+	go func() {
+		_, err := c.CallTimeout([]byte("a"), 5*time.Second)
+		aErr <- err
+	}()
+	<-first.entered // caller A is the flusher, mid-write on socket #1
+
+	// Fail socket #1 under A: its read loop sees the close and drops it.
+	first.Conn.Close()
+	for deadline := time.Now().Add(5 * time.Second); m.Sockets() != 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("read loop never failed the closed socket")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// Caller B redials and must not wait on A's flush.
+	if got, err := c.CallTimeout([]byte("b"), 5*time.Second); err != nil || string(got) != "b" {
+		t.Fatalf("call on the redialed socket: %q %v", got, err)
+	}
+
+	close(first.release)
+	if err := <-aErr; err == nil {
+		t.Fatal("call written to the failed socket succeeded")
+	}
+	if got, err := c.CallTimeout([]byte("c"), 5*time.Second); err != nil || string(got) != "c" {
+		t.Fatalf("redialed socket broken after the stale flusher returned: %q %v", got, err)
+	}
+	if n := dials.Load(); n != 2 {
+		t.Fatalf("%d dials, want 2: the stale flusher closed the redialed socket", n)
 	}
 }

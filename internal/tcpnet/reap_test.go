@@ -83,6 +83,42 @@ func TestIdleReaping(t *testing.T) {
 	}
 }
 
+// A Client has no dialer: once the server reaps its socket, later calls
+// fail and nothing redials.
+func TestReapedClientNeverRedials(t *testing.T) {
+	_, srv, addr := startReapServer(t, 50*time.Millisecond, echoHandler)
+	c, err := Dial(addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Call([]byte("warm")); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); srv.NetStats().Reaped == 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("connection not reaped: %+v", srv.NetStats())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// A call may race the client noticing the close; once one fails,
+	// every later one must too.
+	failed := 0
+	for deadline := time.Now().Add(5 * time.Second); failed < 5; {
+		if time.Now().After(deadline) {
+			t.Fatal("calls kept succeeding after the server reaped the connection")
+		}
+		if _, err := c.CallTimeout([]byte("x"), time.Second); err != nil {
+			failed++
+		} else if failed > 0 {
+			t.Fatal("a call succeeded after an earlier one failed: the client redialed")
+		}
+	}
+	if st := srv.NetStats(); st.Accepted != 1 {
+		t.Fatalf("server accepted %d connections, want 1: the client redialed", st.Accepted)
+	}
+}
+
 // Reaping must never race WriteReply teardown: handlers detach and
 // complete replies from foreign goroutines exactly when the reaper is
 // closing their idle-looking connections. Run under -race, the test

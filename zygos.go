@@ -793,7 +793,8 @@ type Client struct {
 // skewed workloads in tests.
 func (c *Client) Home() int { return c.cc.ServerConn().Home() }
 
-// DialClient connects to a remote Server over TCP.
+// DialClient connects to a remote Server over TCP: one client socket,
+// dialed once, that never redials — its first failure is final.
 func DialClient(addr string, timeout time.Duration) (*TCPClient, error) {
 	tc, err := tcpnet.Dial(addr, timeout)
 	if err != nil {
@@ -803,7 +804,7 @@ func DialClient(addr string, timeout time.Duration) (*TCPClient, error) {
 }
 
 // TCPClient is a TCP connection to a Server, with the same calling
-// conventions as Client.
+// conventions as Client. Concurrent calls coalesce into one write.
 type TCPClient struct {
 	clientBase
 }
@@ -812,7 +813,10 @@ type TCPClient struct {
 // of TCP connections: an application tier with thousands of logical
 // clients holds `sockets` sockets and reader goroutines instead of
 // thousands, and small concurrent requests from callers sharing a
-// socket coalesce into single write syscalls.
+// socket coalesce into single write syscalls. Each socket is the same
+// client socket a TCPClient is, with a dialer added; a call's frame can
+// only leave on the socket whose dispatcher issued its ID, so replies
+// never cross callers across a redial.
 //
 // Ownership rules: NewCaller hands out a view of a shared socket —
 // closing a returned Caller only retires that caller and never closes
