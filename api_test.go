@@ -189,10 +189,11 @@ func TestLatencyRecordingMiddleware(t *testing.T) {
 	if _, err := c.Call([]byte("slow")); err != nil {
 		t.Fatal(err)
 	}
+	// A request is recorded after its reply reaches the transport, so
+	// the last one may land in Stats() after Call has returned.
+	waitUntilTrue(t, 2*time.Second, func() bool { return s.Stats().Latency.Count == 11 },
+		"latency count never reached 11")
 	st := s.Stats()
-	if st.Latency.Count != 11 {
-		t.Fatalf("latency count %d, want 11", st.Latency.Count)
-	}
 	if st.QueueDelay.Count != 11 {
 		t.Fatalf("queue-delay count %d, want 11", st.QueueDelay.Count)
 	}

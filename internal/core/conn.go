@@ -138,13 +138,12 @@ type Conn struct {
 	txWait map[uint64][]byte
 	txBuf  []byte
 
-	// Push-subscription state (see push.go): the subscription table,
+	// Push-subscription state (see push.go): the live subscriptions,
 	// the round-robin cursor the flusher fair-queues with, and the
 	// CAS-guarded on-demand flusher flag. subsDown latches once
 	// teardownPush has run so late Subscribe calls can't resurrect
 	// state on a closing connection.
 	subMu        sync.Mutex
-	subs         map[uint32]*PushSub
 	subList      []*PushSub
 	subRR        int
 	subsDown     bool
@@ -282,9 +281,6 @@ func (c *Conn) poison() {
 		// closed, so the buffer goes home on every interleaving.
 		c.ShrinkIdle()
 		c.teardownPush()
-		if f := c.rt.cfg.OnConnClosed; f != nil {
-			f(c.id)
-		}
 	}
 }
 

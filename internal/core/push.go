@@ -20,17 +20,6 @@ import (
 // can be dropped per policy — instead of filling the transport's
 // staging buffer ahead of RPC replies.
 
-// Backpressure policies (mirroring pubsub wire values; duplicated here
-// so core does not import pubsub).
-const (
-	// PushDropOldest evicts the oldest queued frame to admit a new one
-	// when the subscription's ring is full, counting the drop.
-	PushDropOldest uint8 = 0
-	// PushDisconnect closes the subscriber's connection when its ring
-	// overflows.
-	PushDisconnect uint8 = 1
-)
-
 const (
 	// defaultPushQueue is the per-subscription ring capacity (frames)
 	// when the subscriber does not request one.
@@ -59,40 +48,36 @@ type EgressBacklogger interface {
 
 // PushSub is one live subscription's egress ring on a connection:
 // bounded, never blocking the publisher, drained by the connection's
-// push flusher in round-robin turns.
+// push flusher in round-robin turns. It owns the subscription's whole
+// life: whichever path retires it (Conn.Unsubscribe, connection close,
+// poison) runs the hook registered with OnRetire, once.
 type PushSub struct {
-	conn   *Conn
-	id     uint32
-	topic  uint16
-	policy uint8
+	conn       *Conn
+	id         uint32
+	topic      uint16
+	disconnect bool
 
-	mu     sync.Mutex
-	q      [][]byte // pre-encoded v4 PUSH frames, ring over q[head:head+n]
-	head   int
-	n      int
-	drops  uint64
-	closed bool
+	mu       sync.Mutex
+	q        [][]byte // pre-encoded v4 PUSH frames, ring over q[head:head+n]
+	head     int
+	n        int
+	closed   bool
+	onRetire func()
 }
 
-// ID returns the subscription's wire identifier.
-func (s *PushSub) ID() uint32 { return s.id }
-
-// Topic returns the subscription's topic (the v4 method field).
-func (s *PushSub) Topic() uint16 { return s.topic }
-
-// Drops reports how many frames this subscription has evicted under the
-// drop-oldest policy.
-func (s *PushSub) Drops() uint64 {
+// OnRetire registers f to run once when the subscription is retired —
+// the server points it at the subscription's fan-out bus entry. If the
+// subscription is already retired (its connection closed while it was
+// being set up), f runs at once.
+func (s *PushSub) OnRetire(f func()) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.drops
-}
-
-// Queued reports how many frames are waiting in the ring.
-func (s *PushSub) Queued() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
+	if !s.closed {
+		s.onRetire = f
+		s.mu.Unlock()
+		return
+	}
+	s.mu.Unlock()
+	f()
 }
 
 // Push encodes one published frame as a v4 PUSH and queues it for
@@ -104,9 +89,6 @@ func (s *PushSub) Push(frameID uint32, payload []byte) bool {
 	if len(payload) > proto.MaxPayload {
 		// Unrepresentable in the v4 length field; count as a drop rather
 		// than corrupt the stream.
-		s.mu.Lock()
-		s.drops++
-		s.mu.Unlock()
 		s.conn.rt.pushDropped.Add(1)
 		return false
 	}
@@ -125,11 +107,11 @@ func (s *PushSub) Push(frameID uint32, payload []byte) bool {
 		bufpool.Put(frame)
 		return false
 	}
-	disconnect := false
+	reap := false
 	if s.n == len(s.q) {
-		if s.policy == PushDisconnect {
+		if s.disconnect {
 			s.closed = true
-			disconnect = true
+			reap = true
 			bufpool.Put(frame)
 		} else {
 			// Evict the oldest queued frame to admit the new one.
@@ -137,20 +119,19 @@ func (s *PushSub) Push(frameID uint32, payload []byte) bool {
 			s.q[s.head] = nil
 			s.head = (s.head + 1) % len(s.q)
 			s.n--
-			s.drops++
 			bufpool.Put(old)
 			s.conn.rt.pushDropped.Add(1)
 		}
 	}
-	if !disconnect {
+	if !reap {
 		s.q[(s.head+s.n)%len(s.q)] = frame
 		s.n++
 	}
 	s.mu.Unlock()
-	if disconnect {
+	if reap {
 		// The consumer cannot keep up and asked to be cut off rather
 		// than be lossy. Reap outside the ring lock: CloseConn runs the
-		// full teardown (flusher exit, queue release, bus cleanup hook).
+		// full teardown (flusher exit, queue release, retire hooks).
 		s.conn.rt.pushDropped.Add(1)
 		if tc, ok := s.conn.wr.(TransportCloser); ok {
 			tc.CloseTransport()
@@ -163,8 +144,10 @@ func (s *PushSub) Push(frameID uint32, payload []byte) bool {
 	return true
 }
 
-// teardown empties the ring and marks the subscription closed,
-// returning its frames to the pool. Called with the conn's subMu held.
+// teardown empties the ring, marks the subscription closed, returning
+// its frames to the pool, and runs the retire hook. Called with the
+// conn's subMu held, once per subscription: Unsubscribe and
+// teardownPush each take it out of subList first.
 func (s *PushSub) teardown() {
 	s.mu.Lock()
 	s.closed = true
@@ -175,7 +158,12 @@ func (s *PushSub) teardown() {
 	}
 	s.n = 0
 	s.head = 0
+	f := s.onRetire
+	s.onRetire = nil
 	s.mu.Unlock()
+	if f != nil {
+		f()
+	}
 }
 
 // popInto moves up to budget bytes of queued frames into out, returning
@@ -206,8 +194,10 @@ func (s *PushSub) popInto(out []byte, budget int) ([]byte, bool) {
 
 // Subscribe registers a push subscription on the connection. The id is
 // chosen by the subscriber (it demultiplexes PUSH frames client-side)
-// and must be unique per connection; a duplicate returns nil.
-func (c *Conn) Subscribe(id uint32, topic uint16, policy uint8, qcap int) *PushSub {
+// and must be unique per connection; a duplicate returns nil, as does a
+// closed connection. A full ring evicts its oldest frame, or, with
+// disconnect set, reaps the connection.
+func (c *Conn) Subscribe(id uint32, topic uint16, disconnect bool, qcap int) *PushSub {
 	if qcap <= 0 {
 		qcap = defaultPushQueue
 	}
@@ -215,29 +205,32 @@ func (c *Conn) Subscribe(id uint32, topic uint16, policy uint8, qcap int) *PushS
 		qcap = maxPushQueue
 	}
 	s := &PushSub{
-		conn:   c,
-		id:     id,
-		topic:  topic,
-		policy: policy,
-		q:      make([][]byte, qcap),
+		conn:       c,
+		id:         id,
+		topic:      topic,
+		disconnect: disconnect,
+		q:          make([][]byte, qcap),
 	}
 	c.subMu.Lock()
-	if c.closed.Load() || c.subsDown {
+	if c.closed.Load() || c.subsDown || c.subIndex(id) >= 0 {
 		c.subMu.Unlock()
 		return nil
 	}
-	if c.subs == nil {
-		c.subs = make(map[uint32]*PushSub)
-	}
-	if _, dup := c.subs[id]; dup {
-		c.subMu.Unlock()
-		return nil
-	}
-	c.subs[id] = s
 	c.subList = append(c.subList, s)
 	c.subMu.Unlock()
 	c.rt.subsLive.Add(1)
 	return s
+}
+
+// subIndex returns the position of subscription id in subList, or -1.
+// Called with subMu held.
+func (c *Conn) subIndex(id uint32) int {
+	for i, s := range c.subList {
+		if s.id == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // Unsubscribe retires the subscription with the given id, discarding
@@ -245,29 +238,17 @@ func (c *Conn) Subscribe(id uint32, topic uint16, policy uint8, qcap int) *PushS
 // matched.
 func (c *Conn) Unsubscribe(id uint32) *PushSub {
 	c.subMu.Lock()
-	s := c.subs[id]
-	if s == nil {
+	i := c.subIndex(id)
+	if i < 0 {
 		c.subMu.Unlock()
 		return nil
 	}
-	delete(c.subs, id)
-	for i, o := range c.subList {
-		if o == s {
-			c.subList = append(c.subList[:i], c.subList[i+1:]...)
-			break
-		}
-	}
+	s := c.subList[i]
+	c.subList = append(c.subList[:i], c.subList[i+1:]...)
 	s.teardown()
 	c.subMu.Unlock()
 	c.rt.subsLive.Add(-1)
 	return s
-}
-
-// Subscription returns the live subscription with the given id, if any.
-func (c *Conn) Subscription(id uint32) *PushSub {
-	c.subMu.Lock()
-	defer c.subMu.Unlock()
-	return c.subs[id]
 }
 
 // teardownPush retires every subscription and releases queued frames;
@@ -283,7 +264,6 @@ func (c *Conn) teardownPush() {
 	for _, s := range c.subList {
 		s.teardown()
 	}
-	c.subs = nil
 	c.subList = nil
 	c.subMu.Unlock()
 	if n > 0 {

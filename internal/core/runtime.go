@@ -149,8 +149,6 @@ type Config struct {
 	// to a power of two); pushes beyond it block the transport reader,
 	// providing backpressure. Defaults to 4096.
 	IngressCap int
-	// LockOSThread pins each worker goroutine to an OS thread.
-	LockOSThread bool
 	// DepthFrames piggybacks a health frame carrying the runtime's
 	// current scheduling depth (Depths().Load()) onto every egress reply
 	// batch bound for a v3-speaking peer. Clients without a depth hook
@@ -162,12 +160,6 @@ type Config struct {
 	// path and must be cheap — the server layer uses it for per-route
 	// expiry accounting.
 	OnExpired func(method uint16)
-	// OnConnClosed, when set, is invoked once with the connection's ID
-	// when it closes (transport teardown, poison, or explicit
-	// CloseConn). The server layer uses it to unhook the connection's
-	// pub-sub subscriptions from the fan-out bus. May be called from
-	// any goroutine; must not block.
-	OnConnClosed func(id uint64)
 }
 
 // Stats is a snapshot of runtime counters.
@@ -512,9 +504,6 @@ func (rt *Runtime) CloseConn(c *Conn) {
 	}
 	c.ShrinkIdle()
 	c.teardownPush()
-	if f := rt.cfg.OnConnClosed; f != nil {
-		f(c.id)
-	}
 	w := rt.workers[c.home]
 	for i := 0; i < 8; i++ {
 		if w.ingress.tryPush(c, nil) {

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -129,10 +128,6 @@ func newWorker(rt *Runtime, id int) *Worker {
 
 func (w *Worker) run() {
 	defer w.rt.wg.Done()
-	if w.rt.cfg.LockOSThread {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-	}
 	for w.rt.running.Load() {
 		if w.homeWork() {
 			w.parkBackoff = 0

@@ -95,14 +95,6 @@ func (f Filter) Match(fr Frame) bool {
 	return false
 }
 
-// Publisher is anything frames can be published into: the Bus itself, or
-// the LoggedBus wrapper tests replay from.
-type Publisher interface {
-	// Publish fans fr out to matching subscriptions and returns how many
-	// received it.
-	Publish(fr Frame) int
-}
-
 // Sub is one live subscription on a Bus.
 type Sub struct {
 	bus     *Bus
@@ -114,16 +106,7 @@ type Sub struct {
 	// delivering, so a retired subscription stops receiving promptly
 	// even while the copy-on-write list still carries it.
 	closed atomic.Bool
-
-	delivered atomic.Uint64
 }
-
-// Topic returns the subscription's topic.
-func (s *Sub) Topic() uint16 { return s.topic }
-
-// Delivered reports how many frames matched and were handed to the
-// deliver callback.
-func (s *Sub) Delivered() uint64 { return s.delivered.Load() }
 
 // Unsubscribe retires the subscription: no further frames are
 // delivered, and the bus forgets it. Idempotent.
@@ -199,7 +182,6 @@ func (b *Bus) Publish(fr Frame) int {
 			continue
 		}
 		s.deliver(fr)
-		s.delivered.Add(1)
 		n++
 	}
 	if n > 0 {

@@ -489,11 +489,14 @@ func (ss *sockSet) wake() {
 // (waitRaw). But a thread blocked in a raw syscall keeps its P until
 // sysmon takes it back, up to 10ms later when the process is mostly
 // idle, and with every worker asleep that way a goroutine made runnable
-// by Go's netpoller or a timer finds no P to run on. A process that
-// also holds client connections of this package — a proxy's backend
-// sockets, a test's or a benchmark's in-process clients — has such
-// goroutines by construction (the clients' read loops), and measured
-// over loopback its round trips went from ~250µs to ~5ms. There the
+// by Go's netpoller or a timer finds no P to run on. Every serving
+// process has one such goroutine per listener, its accept loop, so
+// there a new connection's first request can wait that long
+// (accepting inside the worker sets would end it). A process that
+// also holds client connections of this package (a proxy's backend
+// sockets, a test's or a benchmark's in-process clients) has them on
+// every round trip, in the clients' read loops, and measured over
+// loopback its round trips went from ~250µs to ~5ms. There the
 // workers park in Go's netpoller instead (waitNetpoller): a few
 // microseconds and three short syscalls more per park, no P held. No
 // thread blocks on a wait set itself then, so the exclusive entries do

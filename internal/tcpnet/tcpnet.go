@@ -24,13 +24,18 @@
 //
 // Invariants of that design:
 //
-//   - A blocked worker does not keep other goroutines from running. In a
-//     process that only serves it blocks in a raw epoll_wait — the
-//     cheapest wake there is — and yields first, so nothing runnable is
-//     left on the P the blocked thread holds. In a process that also
-//     holds client connections of this package (whose read loops wait on
-//     Go's netpoller and need a P the moment a reply lands) it parks in
-//     Go's netpoller instead and holds no P at all (sockSet.wait).
+//   - In a process that only serves, a blocked worker blocks in a raw
+//     epoll_wait — the cheapest wake there is — and keeps its P. It
+//     yields first, so nothing already runnable is left behind on that
+//     P, but a goroutine that Go's netpoller makes runnable while every
+//     worker is blocked that way waits for sysmon to take a P back, up
+//     to ~10ms on a mostly idle process. The accept loops are such
+//     goroutines: a new connection can wait that long to be accepted,
+//     so its first round trip is slow while later ones are not. In a
+//     process that also holds client connections of this package (whose
+//     read loops wait on Go's netpoller and need a P the moment a reply
+//     lands) a worker parks in Go's netpoller instead and holds no P at
+//     all (sockSet.wait).
 //   - One reader per socket set at a time (owner or proxier, TryLock),
 //     one read per readiness event, level-triggered, so a firehose
 //     connection cannot starve its siblings.
@@ -145,7 +150,8 @@ type NetStats struct {
 	Idle int
 	// Accepted counts connections ever accepted.
 	Accepted uint64
-	// Reaped counts connections closed by the idle-timeout reaper.
+	// Reaped counts connections closed by the idle-timeout reaper
+	// (WithIdleTimeout; zygos.Config.IdleTimeout).
 	Reaped uint64
 	// Pollers is the number of poll sets: one per runtime worker —
 	// worker-owned socket sets on Linux (no goroutines), portable poller
@@ -153,7 +159,8 @@ type NetStats struct {
 	// connection without a raw fd has needed it.
 	Pollers int
 	// AcceptShards is the number of listeners currently being served
-	// (one accept-loop goroutine each).
+	// (one accept-loop goroutine each) — with ListenShards, the
+	// SO_REUSEPORT accept shard count.
 	AcceptShards int
 	// EgressBytesResident is the total capacity of per-connection egress
 	// staging buffers currently retained — the transport's idle-memory

@@ -176,19 +176,14 @@ func (c *clientBase) Subscribe(topic uint16, f Filter, opts SubscribeOptions, h 
 	return &Subscription{topic: topic, id: id, unsub: func() error { return c.Unsubscribe(topic, id) }}, nil
 }
 
-// connSub ties one wire subscription to its bus registration, so a
-// closing connection (or an UNSUBSCRIBE) unhooks the right fan-out
-// entry.
-type connSub struct {
-	id  uint32
-	sub *pubsub.Sub
-}
-
 // handleV4 serves the v4 control frames the core handler glue
 // intercepts before request dispatch: SUBSCRIBE installs the
-// per-connection push queue and hooks it into the fan-out bus,
-// UNSUBSCRIBE tears both down. Acks ride the connection's TX sequencer
-// like any reply, so they are ordered with the RPC traffic around them.
+// per-connection push ring and hooks it into the fan-out bus,
+// UNSUBSCRIBE retires it. The ring owns its bus entry: whichever path
+// retires the ring — UNSUBSCRIBE, connection close, a disconnect-policy
+// overflow — unhooks the entry with it. Acks ride the connection's TX
+// sequencer like any reply, so they are ordered with the RPC traffic
+// around them.
 func (s *Server) handleV4(ctx *core.Ctx, c *core.Conn, m proto.Message) {
 	switch m.Kind {
 	case proto.KindSubscribe:
@@ -197,57 +192,24 @@ func (s *Server) handleV4(ctx *core.Ctx, c *core.Conn, m proto.Message) {
 			_ = ctx.Error(StatusAppError, err.Error())
 			return
 		}
-		ps := c.Subscribe(m.SubID, m.Method, spec.Policy, int(spec.QCap))
+		ps := c.Subscribe(m.SubID, m.Method, spec.Policy == pubsub.PolicyDisconnect, int(spec.QCap))
 		if ps == nil {
 			_ = ctx.Error(StatusAppError, "zygos: duplicate or closed subscription")
 			return
 		}
-		sub := s.bus.Subscribe(m.Method, spec.Filter, func(fr pubsub.Frame) {
+		ps.OnRetire(s.bus.Subscribe(m.Method, spec.Filter, func(fr pubsub.Frame) {
 			ps.Push(fr.ID, fr.Payload)
-		})
-		connID := c.ID()
-		s.subMu.Lock()
-		s.connSubs[connID] = append(s.connSubs[connID], connSub{id: m.SubID, sub: sub})
-		s.subMu.Unlock()
-		if c.Closed() {
-			// The connection died while we were hooking up: the core-side
-			// teardown may have run before the bus entry existed, so
-			// unhook it again ourselves.
-			s.dropConnSubs(connID)
-		}
+		}).Unsubscribe)
 		_ = ctx.Reply(nil)
 	case proto.KindUnsubscribe:
-		c.Unsubscribe(m.SubID)
-		connID := c.ID()
-		s.subMu.Lock()
-		subs := s.connSubs[connID]
-		for i, cs := range subs {
-			if cs.id == m.SubID {
-				subs[i] = subs[len(subs)-1]
-				s.connSubs[connID] = subs[:len(subs)-1]
-				s.subMu.Unlock()
-				cs.sub.Unsubscribe()
-				_ = ctx.Reply(nil)
-				return
-			}
+		if c.Unsubscribe(m.SubID) == nil {
+			_ = ctx.Error(StatusAppError, "zygos: unknown subscription")
+			return
 		}
-		s.subMu.Unlock()
-		_ = ctx.Error(StatusAppError, "zygos: unknown subscription")
+		_ = ctx.Reply(nil)
 	default:
 		// KindPush is server-to-client only; anything else is hostile.
 		_ = ctx.Error(StatusAppError, "zygos: unexpected v4 frame kind")
-	}
-}
-
-// dropConnSubs unhooks every bus subscription a closed connection held;
-// wired into the runtime's OnConnClosed.
-func (s *Server) dropConnSubs(connID uint64) {
-	s.subMu.Lock()
-	subs := s.connSubs[connID]
-	delete(s.connSubs, connID)
-	s.subMu.Unlock()
-	for _, cs := range subs {
-		cs.sub.Unsubscribe()
 	}
 }
 

@@ -272,8 +272,6 @@ type Config struct {
 	// ParkInterval bounds idle workers' sleep between steal scans;
 	// defaults to 100µs.
 	ParkInterval time.Duration
-	// LockOSThread pins each worker goroutine to an OS thread.
-	LockOSThread bool
 	// IdleTimeout closes TCP connections with no wire activity for this
 	// long, returning their pooled buffers. Zero (the default) disables
 	// reaping.
@@ -328,7 +326,9 @@ type Stats struct {
 	Expired uint64
 	// Latency summarizes end-to-end latency (arrival to reply,
 	// including detached time); populated once LatencyRecording is
-	// installed.
+	// installed. A request is recorded after its reply has been handed
+	// to the transport, so Stats() is not ordered before the reply: a
+	// caller whose Call has returned may not see it counted yet.
 	Latency LatencySnapshot
 	// QueueDelay summarizes scheduling delay (arrival to handler
 	// start); populated once LatencyRecording is installed.
@@ -347,29 +347,8 @@ type Stats struct {
 }
 
 // NetStats is a snapshot of the TCP transport's connection registry.
-type NetStats struct {
-	// Open is the number of currently open TCP connections.
-	Open int
-	// Idle is how many open connections have been quiet past the idle
-	// threshold.
-	Idle int
-	// Accepted counts connections ever accepted.
-	Accepted uint64
-	// Reaped counts connections closed by the idle-timeout reaper
-	// (Config.IdleTimeout).
-	Reaped uint64
-	// Pollers is the number of transport poll sets, one per worker:
-	// on Linux each worker polls its own socket set and the transport
-	// runs no poller goroutines; elsewhere (and for connections without
-	// a raw descriptor) they are portable poller goroutines.
-	Pollers int
-	// AcceptShards is the number of listeners currently being served —
-	// with ListenShards, the SO_REUSEPORT accept shard count.
-	AcceptShards int
-	// EgressBytesResident is the total capacity of per-connection
-	// egress staging buffers currently retained.
-	EgressBytesResident int64
-}
+// See tcpnet.NetStats for field semantics.
+type NetStats = tcpnet.NetStats
 
 // RouteStats is one method's slice of the traffic.
 type RouteStats struct {
@@ -443,12 +422,9 @@ type Server struct {
 	routeMu   sync.RWMutex
 	routeRecs map[uint16]*routeRec
 
-	// The pub-sub fan-out bus and the per-connection record of which bus
-	// subscriptions each wire connection holds, so connection teardown
-	// (via the runtime's OnConnClosed) unhooks its fan-out entries.
+	// The pub-sub fan-out bus. A wire subscription's entry is owned by
+	// its connection's push ring, which retires it (see handleV4).
 	bus            *pubsub.Bus
-	subMu          sync.Mutex
-	connSubs       map[uint64][]connSub
 	statsStreaming atomic.Bool
 }
 
@@ -458,9 +434,8 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, errors.New("zygos: Config.Handler is required")
 	}
 	s := &Server{
-		base:     cfg.Handler,
-		bus:      pubsub.NewBus(),
-		connSubs: make(map[uint64][]connSub),
+		base: cfg.Handler,
+		bus:  pubsub.NewBus(),
 	}
 	s.handler.Store(cfg.Handler)
 	rt, err := core.New(core.Config{
@@ -501,14 +476,10 @@ func NewServer(cfg Config) (*Server, error) {
 		DisableStealing: cfg.Partitioned,
 		DisableProxy:    cfg.NoInterrupts,
 		ParkInterval:    cfg.ParkInterval,
-		LockOSThread:    cfg.LockOSThread,
 		DepthFrames:     cfg.DepthFrames,
 		// Attribute scheduler-level deadline expiries to their route so
 		// Stats().Routes reflects who lost budget in the queue.
 		OnExpired: func(method uint16) { s.routeRec(method).expired.Add(1) },
-		// Unhook a closed connection's bus subscriptions so the fan-out
-		// stops delivering into dead push queues.
-		OnConnClosed: s.dropConnSubs,
 	})
 	if err != nil {
 		return nil, err
@@ -618,16 +589,7 @@ func (s *Server) Stats() Stats {
 		Dropped:       st.PushDropped,
 		Subscriptions: int(st.Subs),
 	}
-	ns := s.tcp.NetStats()
-	out.Net = NetStats{
-		Open:                ns.Open,
-		Idle:                ns.Idle,
-		Accepted:            ns.Accepted,
-		Reaped:              ns.Reaped,
-		Pollers:             ns.Pollers,
-		AcceptShards:        ns.AcceptShards,
-		EgressBytesResident: ns.EgressBytesResident,
-	}
+	out.Net = s.tcp.NetStats()
 	return out
 }
 
